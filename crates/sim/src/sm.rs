@@ -22,100 +22,10 @@ use crate::warp::Warp;
 /// Replay delay after an MSHR-full stall, cycles.
 const MSHR_RETRY_CYCLES: u64 = 8;
 
-/// One memory request an SM issued during a cycle, recorded instead of
-/// applied. `now_ns` is the issue timestamp; replaying the batch through
-/// [`RequestBatch::drain_into`] reproduces the inline
-/// `read_request`/`write_request` calls exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BatchedRequest {
-    byte_addr: u64,
-    now_ns: u64,
-    write: bool,
-}
-
-/// A per-SM accumulator of one cycle's memory requests.
-///
-/// This is the decoupling boundary that makes the per-cycle SM loop
-/// embarrassingly parallel: [`Sm::step`] never touches the shared
-/// `MemSystem`; it records requests here (in issue order) and the driver
-/// later drains every SM's batch in canonical SM-id order. Replaying a
-/// batch is byte-equivalent to the old inline calls because `MemSystem`
-/// request entry points return nothing the SM could have observed.
-#[derive(Debug, Default)]
-pub struct RequestBatch {
-    ops: Vec<BatchedRequest>,
-}
-
-impl RequestBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        RequestBatch::default()
-    }
-
-    /// Records a read issued at `now_ns`.
-    pub fn push_read(&mut self, byte_addr: u64, now_ns: u64) {
-        self.ops.push(BatchedRequest {
-            byte_addr,
-            now_ns,
-            write: false,
-        });
-    }
-
-    /// Records a write issued at `now_ns`.
-    pub fn push_write(&mut self, byte_addr: u64, now_ns: u64) {
-        self.ops.push(BatchedRequest {
-            byte_addr,
-            now_ns,
-            write: true,
-        });
-    }
-
-    /// Number of recorded requests.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Replays the batch into `mem` as SM `sm`, in issue order, leaving
-    /// the batch empty with its capacity intact for the next cycle.
-    pub fn drain_into(&mut self, sm: u32, mem: &mut MemSystem) {
-        for op in self.ops.drain(..) {
-            if op.write {
-                mem.write_request(sm, op.byte_addr, op.now_ns);
-            } else {
-                mem.read_request(sm, op.byte_addr, op.now_ns);
-            }
-        }
-    }
-}
-
-/// A dirty L1 victim displaced by a fill, waiting for the merge phase.
-///
-/// `seq` is the victim's global fill index within the tick (the position
-/// of the fill that displaced it in `MemSystem::tick`'s output), which is
-/// exactly the order the serial driver used to write victims back in —
-/// sorting by `seq` restores it regardless of which thread produced the
-/// victim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VictimWb {
-    /// Global fill index within the tick that displaced this line.
-    pub seq: u64,
-    /// Owning SM id.
-    pub sm: u32,
-    /// Victim line address.
-    pub byte_addr: u64,
-    /// Timestamp of the displacing fill.
-    pub now_ns: u64,
-}
-
 /// What one [`Sm::step`] call produced, for the driver to aggregate.
 #[derive(Debug, Clone, Copy)]
 pub struct StepOutcome {
-    /// Thread blocks that retired this cycle (fills + issue).
+    /// Thread blocks that retired during the issue pass.
     pub blocks_retired: u32,
     /// Earliest cycle any queued warp can issue (`u64::MAX` when none).
     pub next_wake: u64,
@@ -130,14 +40,6 @@ struct ReadyEntry {
     slot: u32,
     ready_at: u64,
     age: u64,
-}
-
-/// One fill delivery parked in an SM's inbox until its next step.
-#[derive(Debug, Clone, Copy)]
-struct PendingFill {
-    /// Global fill index within the tick (victim ordering key).
-    seq: u64,
-    byte_addr: u64,
 }
 
 /// One streaming multiprocessor.
@@ -173,13 +75,6 @@ pub struct Sm {
     greedy_parked: bool,
     /// Monotone launch counter assigning warp ages.
     age_counter: u64,
-    /// This cycle's recorded memory requests (drained by the merge phase).
-    batch: RequestBatch,
-    /// Fill deliveries routed here by the driver before [`step`](Sm::step).
-    inbox: Vec<PendingFill>,
-    /// Dirty L1 victims displaced by this cycle's fills (drained by the
-    /// merge phase, ordered globally by [`VictimWb::seq`]).
-    victims: Vec<VictimWb>,
     /// Thread instructions committed.
     pub instructions: u64,
     /// Cycles with no issuable warp.
@@ -209,9 +104,6 @@ impl Sm {
             greedy: None,
             greedy_parked: false,
             age_counter: 0,
-            batch: RequestBatch::new(),
-            inbox: Vec::new(),
-            victims: Vec::new(),
             instructions: 0,
             idle_cycles: 0,
             mshr_stalls: 0,
@@ -388,57 +280,30 @@ impl Sm {
         }
     }
 
-    /// Parks one fill delivery in the inbox; [`step`](Sm::step) applies it.
-    pub fn push_fill(&mut self, seq: u64, byte_addr: u64) {
-        self.inbox.push(PendingFill { seq, byte_addr });
-    }
-
-    /// Runs this SM for one cycle without touching the shared memory
-    /// system: applies parked fills, then gates and issues exactly as the
-    /// serial driver did. Requests land in the [`RequestBatch`] and dirty
-    /// fill victims in the victim list; the driver drains both in the
-    /// merge phase. Safe to call from a worker thread.
-    pub fn step(&mut self, cycle: u64, now_ns: u64) -> StepOutcome {
-        let mut blocks_retired = 0;
-        for i in 0..self.inbox.len() {
-            let fill = self.inbox[i];
-            blocks_retired += self.apply_fill(fill.seq, fill.byte_addr, now_ns);
-        }
-        self.inbox.clear();
-        match self.next_ready_cycle() {
-            Some(ready) if ready <= cycle => {
-                blocks_retired += self.issue_cycle(cycle, now_ns);
+    /// Runs this SM for one cycle: gates on its earliest queued warp and
+    /// issues, sending every L2 read and write to `mem` as it goes.
+    /// Fills due this cycle must already have been delivered.
+    pub fn step(&mut self, cycle: u64, now_ns: u64, mem: &mut MemSystem) -> StepOutcome {
+        let blocks_retired = match self.next_ready_cycle() {
+            Some(ready) if ready <= cycle => self.issue_cycle(cycle, now_ns, mem),
+            _ => {
+                self.count_idle(1);
+                0
             }
-            _ => self.count_idle(1),
-        }
+        };
         StepOutcome {
             blocks_retired,
             next_wake: self.next_ready,
         }
     }
 
-    /// Moves this cycle's dirty fill victims onto `out` (capacity kept).
-    pub fn drain_victims_into(&mut self, out: &mut Vec<VictimWb>) {
-        out.append(&mut self.victims);
-    }
-
-    /// Replays this cycle's recorded memory requests into `mem`, in issue
-    /// order. Called by the merge phase in canonical SM-id order.
-    pub fn drain_requests_into(&mut self, mem: &mut MemSystem) {
-        self.batch.drain_into(self.id, mem);
-    }
-
-    /// Applies an L1 fill response, waking warps. Returns the number of
-    /// blocks that retired as a result.
-    fn apply_fill(&mut self, seq: u64, byte_addr: u64, now_ns: u64) -> u32 {
+    /// Applies an L1 fill response, writing a displaced dirty line back to
+    /// `mem` and waking warps. Returns the number of blocks that retired
+    /// as a result.
+    pub fn deliver_fill(&mut self, byte_addr: u64, now_ns: u64, mem: &mut MemSystem) -> u32 {
         let (tokens, dirty_victim) = self.l1.fill(byte_addr, now_ns);
         if let Some(victim_addr) = dirty_victim {
-            self.victims.push(VictimWb {
-                seq,
-                sm: self.id,
-                byte_addr: victim_addr,
-                now_ns,
-            });
+            mem.write_request(self.id, victim_addr, now_ns);
         }
         let mut blocks_retired = 0;
         for token in tokens {
@@ -464,13 +329,19 @@ impl Sm {
 
     /// Executes one instruction's memory reads. Returns `(misses_issued,
     /// true)` on success or `(partial, false)` on an MSHR-full abort.
-    fn issue_reads(&mut self, slot: usize, addrs: &[u64], now_ns: u64) -> (u32, bool) {
+    fn issue_reads(
+        &mut self,
+        slot: usize,
+        addrs: &[u64],
+        now_ns: u64,
+        mem: &mut MemSystem,
+    ) -> (u32, bool) {
         let mut misses = 0;
         for &addr in addrs {
             match self.l1.read(addr, slot as u64, now_ns) {
                 L1ReadOutcome::Hit => {}
                 L1ReadOutcome::MissIssued => {
-                    self.batch.push_read(addr, now_ns);
+                    mem.read_request(self.id, addr, now_ns);
                     misses += 1;
                 }
                 L1ReadOutcome::MissMerged => {
@@ -548,7 +419,7 @@ impl Sm {
     }
 
     /// Runs one cycle of issue. Returns the number of blocks retired.
-    fn issue_cycle(&mut self, cycle: u64, now_ns: u64) -> u32 {
+    fn issue_cycle(&mut self, cycle: u64, now_ns: u64, mem: &mut MemSystem) -> u32 {
         let mut blocks_retired = 0;
         let mut issued = 0u32;
         let mut issued_any = false;
@@ -583,7 +454,7 @@ impl Sm {
                 WarpInstr::MemWrite(addrs) => {
                     for &addr in &addrs {
                         self.l1.write(addr, now_ns);
-                        self.batch.push_write(addr, now_ns);
+                        mem.write_request(self.id, addr, now_ns);
                     }
                     self.instructions += self.warp_size as u64;
                     let dep = self.dep_interval;
@@ -596,7 +467,7 @@ impl Sm {
                     // stays in L1; only displaced dirty lines reach L2.
                     for &addr in &addrs {
                         if let Some(victim) = self.l1.write_local(addr, now_ns) {
-                            self.batch.push_write(victim, now_ns);
+                            mem.write_request(self.id, victim, now_ns);
                         }
                     }
                     self.instructions += self.warp_size as u64;
@@ -606,7 +477,7 @@ impl Sm {
                     self.enqueue(slot);
                 }
                 WarpInstr::MemRead(addrs) | WarpInstr::LocalRead(addrs) => {
-                    let (misses, ok) = self.issue_reads(slot, &addrs, now_ns);
+                    let (misses, ok) = self.issue_reads(slot, &addrs, now_ns, mem);
                     let max_pending = self.max_pending;
                     let warp = self.warps[slot].as_mut().expect("live");
                     warp.pending_loads += misses;
@@ -668,26 +539,18 @@ mod tests {
         (Sm::new(&cfg, 0), MemSystem::new(&cfg), Arc::new(kernel))
     }
 
-    /// Runs the SM until idle, delivering memory responses through the
-    /// same batch/inbox/merge protocol the `Gpu` driver uses.
+    /// Runs the SM until idle, delivering memory responses the way the
+    /// `Gpu` driver does: fills in tick order, then one step.
     fn run_to_completion(sm: &mut Sm, mem: &mut MemSystem, max_cycles: u64) -> u32 {
         let mut retired = 0;
         let mut fills = Vec::new();
-        let mut victims = Vec::new();
         for cycle in 0..max_cycles {
             let now_ns = cycle * 5 / 7;
             mem.tick(now_ns, &mut fills);
-            for (seq, fill) in fills.iter().enumerate() {
-                sm.push_fill(seq as u64, fill.byte_addr);
+            for fill in &fills {
+                retired += sm.deliver_fill(fill.byte_addr, now_ns, mem);
             }
-            retired += sm.step(cycle, now_ns).blocks_retired;
-            victims.clear();
-            sm.drain_victims_into(&mut victims);
-            victims.sort_unstable_by_key(|v| v.seq);
-            for v in &victims {
-                mem.write_request(v.sm, v.byte_addr, v.now_ns);
-            }
-            sm.drain_requests_into(mem);
+            retired += sm.step(cycle, now_ns, mem).blocks_retired;
             if sm.is_idle() && mem.is_idle() {
                 return retired;
             }

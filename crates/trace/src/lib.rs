@@ -339,9 +339,8 @@ pub trait EventSink {
 /// share the underlying sink, so one checker observes a whole [`Gpu`].
 ///
 /// The sink is behind `Arc<Mutex<_>>` (rather than `Rc<RefCell<_>>`) so
-/// handle owners — in particular `Sm` — are `Send` and can be stepped on
-/// worker threads. The parallel driver gives each SM a private buffering
-/// sink, so the lock is uncontended in practice.
+/// a traced `Gpu` is `Send` and can run on an executor worker thread.
+/// One run is stepped by one thread, so the lock is never contended.
 ///
 /// [`Gpu`]: ../sttgpu_sim/struct.Gpu.html
 #[derive(Clone, Default)]
@@ -411,13 +410,6 @@ impl VecSink {
     /// Takes (and clears) the recorded events.
     pub fn take(&mut self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.events)
-    }
-
-    /// Moves the recorded events onto the end of `out`, leaving this sink
-    /// empty but with its capacity intact. Used by the per-SM trace
-    /// buffers, which drain every visited cycle and must not reallocate.
-    pub fn take_into(&mut self, out: &mut Vec<TraceEvent>) {
-        out.append(&mut self.events);
     }
 }
 
