@@ -28,6 +28,9 @@ cargo clippy --release --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml (the benchmark)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 if [[ "${1:-}" == "--smoke" ]]; then
     echo "==> repro smoke run (scale 0.1, all artefacts)"
     ./target/release/repro --scale 0.1 all > /dev/null
@@ -42,7 +45,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
     ./target/release/repro --scale 0.05 --llc-policy adaptive-retention fig8 --check > /dev/null
     ./target/release/repro --scale 0.05 --llc-policy adaptive-ways fig8 --check > /dev/null
 
-    echo "==> repro perf canary (fixed workload vs results/BENCH_repro.json baseline)"
+    echo "==> repro perf canary (median of 5 runs vs results/canary_baseline.json; a missing baseline fails)"
     ./target/release/repro --canary > /dev/null
 
     echo "==> repro differential fuzz vs the oracle (50000 cases, seed 7, 4 shards; corners + scenarios)"

@@ -99,6 +99,35 @@ pub struct Evicted<M> {
     pub meta: M,
 }
 
+/// Handle to one (set, way) position of a [`SetAssocCache`], returned by
+/// [`find`](SetAssocCache::find) and [`fill_with`](SetAssocCache::fill_with)
+/// so a caller that acts on a line several times in one access searches
+/// its tag row once.
+///
+/// A slot names a position, not a line: it refers to the line found or
+/// filled until the next fill, extract, flush or drain of the array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Slot(usize);
+
+impl Slot {
+    /// Position in (set, way) order, in `[0, capacity_lines)`.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// What [`SetAssocCache::fill_with`] did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Filled<M> {
+    /// The slot now holding the line.
+    pub slot: Slot,
+    /// `false` when the line was already resident and the fill only merged
+    /// its dirty bit (metadata, counters and replacement state untouched).
+    pub inserted: bool,
+    /// The valid line the fill displaced, if any.
+    pub evicted: Option<Evicted<M>>,
+}
+
 /// A set-associative cache array with pluggable replacement and per-line
 /// metadata.
 ///
@@ -145,6 +174,18 @@ pub struct SetAssocCache<M> {
 /// Tag sentinel for an empty slot. Line addresses are byte addresses
 /// divided by the line size, so no valid line can reach it.
 const INVALID_TAG: u64 = u64::MAX;
+
+/// Moves a line's state out into an [`Evicted`] record (the caller clears
+/// the valid bit and tag).
+fn take_evicted<M: Default>(line: &mut Line<M>) -> Evicted<M> {
+    Evicted {
+        line_addr: line.line_addr,
+        dirty: line.dirty,
+        write_count: line.write_count,
+        last_write_ns: line.last_write_ns,
+        meta: std::mem::take(&mut line.meta),
+    }
+}
 
 impl<M: Default> SetAssocCache<M> {
     /// Creates an empty cache of `sets` × `ways` lines of `line_bytes`.
@@ -242,13 +283,7 @@ impl<M: Default> SetAssocCache<M> {
                     self.tags[slot] = INVALID_TAG;
                     let line = &mut self.lines[slot];
                     line.valid = false;
-                    out.push(Evicted {
-                        line_addr: line.line_addr,
-                        dirty: line.dirty,
-                        write_count: line.write_count,
-                        last_write_ns: line.last_write_ns,
-                        meta: std::mem::take(&mut line.meta),
-                    });
+                    out.push(take_evicted(line));
                 }
             }
         }
@@ -300,10 +335,39 @@ impl<M: Default> SetAssocCache<M> {
         set * self.ways + way
     }
 
-    fn find_way(&self, line_addr: u64) -> Option<usize> {
-        let set = self.set_index(line_addr);
-        let row = &self.tags[set * self.ways..(set + 1) * self.ways];
-        row.iter().position(|&t| t == line_addr)
+    fn find_in(&self, set: usize, line_addr: u64) -> Option<Slot> {
+        let base = set * self.ways;
+        let row = &self.tags[base..base + self.ways];
+        row.iter()
+            .position(|&t| t == line_addr)
+            .map(|w| Slot(base + w))
+    }
+
+    /// The slot holding `line_addr`, or `None` when it is absent — the one
+    /// tag search an access needs; the slot-based calls below reuse it.
+    pub fn find(&self, line_addr: u64) -> Option<Slot> {
+        self.find_in(self.set_index(line_addr), line_addr)
+    }
+
+    /// The line at `slot` (valid or not).
+    pub fn line(&self, slot: Slot) -> &Line<M> {
+        &self.lines[slot.0]
+    }
+
+    /// The line at `slot`, mutably, without updating replacement or
+    /// statistics state (for metadata maintenance such as retention
+    /// counters).
+    pub fn line_mut(&mut self, slot: Slot) -> &mut Line<M> {
+        &mut self.lines[slot.0]
+    }
+
+    /// Slots of every valid line, in (set, way) order.
+    pub fn valid_slots(&self) -> impl Iterator<Item = Slot> + '_ {
+        self.tags
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| t != INVALID_TAG)
+            .map(|(i, _)| Slot(i))
     }
 
     fn next_stamp(&mut self) -> u64 {
@@ -320,6 +384,25 @@ impl<M: Default> SetAssocCache<M> {
         x
     }
 
+    /// Records a hit on the valid line at `slot`: replacement state,
+    /// dirty/write counters and statistics, exactly as a hitting
+    /// [`lookup`](Self::lookup) does. Returns the line.
+    pub fn touch(&mut self, slot: Slot, kind: AccessKind, now_ns: u64) -> &mut Line<M> {
+        debug_assert!(self.lines[slot.0].valid, "touch of an empty slot");
+        if self.policy.touches_on_hit() {
+            self.stamps[slot.0] = self.next_stamp();
+        }
+        let line = &mut self.lines[slot.0];
+        if kind.is_write() {
+            self.stats.write_hits.inc();
+            self.position_writes[slot.0] += 1;
+            line.note_write(now_ns);
+        } else {
+            self.stats.read_hits.inc();
+        }
+        line
+    }
+
     /// Looks a line up, updating replacement state, dirty/write counters
     /// and statistics. Returns the line on a hit, `None` on a miss.
     pub fn lookup(
@@ -328,30 +411,8 @@ impl<M: Default> SetAssocCache<M> {
         kind: AccessKind,
         now_ns: u64,
     ) -> Option<&mut Line<M>> {
-        match self.find_way(line_addr) {
-            Some(way) => {
-                let set = self.set_index(line_addr);
-                let stamp = if self.policy.touches_on_hit() {
-                    Some(self.next_stamp())
-                } else {
-                    None
-                };
-                let slot = self.slot(set, way);
-                if kind.is_write() {
-                    self.stats.write_hits.inc();
-                    self.position_writes[slot] += 1;
-                } else {
-                    self.stats.read_hits.inc();
-                }
-                if let Some(s) = stamp {
-                    self.stamps[slot] = s;
-                }
-                let line = &mut self.lines[slot];
-                if kind.is_write() {
-                    line.note_write(now_ns);
-                }
-                Some(line)
-            }
+        match self.find(line_addr) {
+            Some(slot) => Some(self.touch(slot, kind, now_ns)),
             None => {
                 if kind.is_write() {
                     self.stats.write_misses.inc();
@@ -365,23 +426,19 @@ impl<M: Default> SetAssocCache<M> {
 
     /// Returns the line without updating any state, or `None` when absent.
     pub fn peek(&self, line_addr: u64) -> Option<&Line<M>> {
-        self.find_way(line_addr)
-            .map(|w| &self.lines[self.slot(self.set_index(line_addr), w)])
+        self.find(line_addr).map(|slot| self.line(slot))
     }
 
     /// Returns a mutable reference to the line without updating replacement
     /// or statistics state (for metadata maintenance such as retention
     /// counters).
     pub fn peek_mut(&mut self, line_addr: u64) -> Option<&mut Line<M>> {
-        self.find_way(line_addr).map(|w| {
-            let slot = self.slot(self.set_index(line_addr), w);
-            &mut self.lines[slot]
-        })
+        self.find(line_addr).map(|slot| self.line_mut(slot))
     }
 
     /// Whether the line is present and valid.
     pub fn contains(&self, line_addr: u64) -> bool {
-        self.find_way(line_addr).is_some()
+        self.find(line_addr).is_some()
     }
 
     fn victim_way(&mut self, set: usize) -> usize {
@@ -413,11 +470,13 @@ impl<M: Default> SetAssocCache<M> {
     /// write-allocate).
     pub fn fill(&mut self, line_addr: u64, dirty: bool, now_ns: u64) -> Option<Evicted<M>> {
         self.fill_with(line_addr, dirty, 0, M::default(), now_ns)
+            .evicted
     }
 
     /// Fills a line carrying existing `write_count` and metadata — the
     /// migration path between the LR and HR arrays uses this so WWS history
-    /// survives the move. Semantics otherwise match [`fill`](Self::fill).
+    /// survives the move. Semantics otherwise match [`fill`](Self::fill);
+    /// the result also names the slot the line now occupies.
     pub fn fill_with(
         &mut self,
         line_addr: u64,
@@ -425,13 +484,43 @@ impl<M: Default> SetAssocCache<M> {
         write_count: u32,
         meta: M,
         now_ns: u64,
-    ) -> Option<Evicted<M>> {
-        if let Some(way) = self.find_way(line_addr) {
-            let slot = self.slot(self.set_index(line_addr), way);
-            self.lines[slot].dirty |= dirty;
-            return None;
-        }
+    ) -> Filled<M> {
         let set = self.set_index(line_addr);
+        if let Some(slot) = self.find_in(set, line_addr) {
+            self.lines[slot.0].dirty |= dirty;
+            return Filled {
+                slot,
+                inserted: false,
+                evicted: None,
+            };
+        }
+        self.insert_in(set, line_addr, dirty, write_count, meta, now_ns)
+    }
+
+    /// [`fill_with`](Self::fill_with) for a line the caller has just found
+    /// absent with [`find`](Self::find): skips the tag search.
+    pub fn insert_with(
+        &mut self,
+        line_addr: u64,
+        dirty: bool,
+        write_count: u32,
+        meta: M,
+        now_ns: u64,
+    ) -> Filled<M> {
+        debug_assert!(self.find(line_addr).is_none(), "insert of a resident line");
+        let set = self.set_index(line_addr);
+        self.insert_in(set, line_addr, dirty, write_count, meta, now_ns)
+    }
+
+    fn insert_in(
+        &mut self,
+        set: usize,
+        line_addr: u64,
+        dirty: bool,
+        write_count: u32,
+        meta: M,
+        now_ns: u64,
+    ) -> Filled<M> {
         let way = self.victim_way(set);
         let stamp = self.next_stamp();
         let slot = self.slot(set, way);
@@ -445,13 +534,7 @@ impl<M: Default> SetAssocCache<M> {
             if line.dirty {
                 self.stats.dirty_evictions.inc();
             }
-            Some(Evicted {
-                line_addr: line.line_addr,
-                dirty: line.dirty,
-                write_count: line.write_count,
-                last_write_ns: line.last_write_ns,
-                meta: std::mem::take(&mut line.meta),
-            })
+            Some(take_evicted(line))
         } else {
             None
         };
@@ -463,25 +546,27 @@ impl<M: Default> SetAssocCache<M> {
         line.meta = meta;
         self.tags[slot] = line_addr;
         self.stamps[slot] = stamp;
-        evicted
+        Filled {
+            slot: Slot(slot),
+            inserted: true,
+            evicted,
+        }
     }
 
     /// Removes a line from the array, returning its state for write-back
     /// or migration. Returns `None` when the line is absent.
     pub fn extract(&mut self, line_addr: u64) -> Option<Evicted<M>> {
-        let way = self.find_way(line_addr)?;
-        let slot = self.slot(self.set_index(line_addr), way);
+        self.find(line_addr).map(|slot| self.extract_at(slot))
+    }
+
+    /// Removes the valid line at `slot`, returning its state.
+    pub fn extract_at(&mut self, slot: Slot) -> Evicted<M> {
+        debug_assert!(self.lines[slot.0].valid, "extract of an empty slot");
         self.stats.invalidations.inc();
-        self.tags[slot] = INVALID_TAG;
-        let line = &mut self.lines[slot];
+        self.tags[slot.0] = INVALID_TAG;
+        let line = &mut self.lines[slot.0];
         line.valid = false;
-        Some(Evicted {
-            line_addr: line.line_addr,
-            dirty: line.dirty,
-            write_count: line.write_count,
-            last_write_ns: line.last_write_ns,
-            meta: std::mem::take(&mut line.meta),
-        })
+        take_evicted(line)
     }
 
     /// Invalidates every line, returning the dirty victims (for flush).
@@ -501,13 +586,7 @@ impl<M: Default> SetAssocCache<M> {
                 self.tags[slot] = INVALID_TAG;
                 self.stats.invalidations.inc();
                 if line.dirty {
-                    dirty.push(Evicted {
-                        line_addr: line.line_addr,
-                        dirty: true,
-                        write_count: line.write_count,
-                        last_write_ns: line.last_write_ns,
-                        meta: std::mem::take(&mut line.meta),
-                    });
+                    dirty.push(take_evicted(line));
                 }
             }
         }
@@ -817,6 +896,89 @@ mod tests {
         c.peek_mut(5).expect("line").set_write_count(0);
         assert_eq!(c.peek(5).expect("line").write_count(), 0);
         assert!(c.peek(5).expect("line").is_dirty(), "dirty bit untouched");
+    }
+
+    /// Slot handles against a brute-force model: after every operation,
+    /// each resident line is found at the slot that last reported it, the
+    /// slot holds it, and removed lines are held nowhere.
+    #[test]
+    fn slot_handles_track_lines_across_every_mutation() {
+        use std::collections::HashMap;
+        let mut c: SetAssocCache<u64> = SetAssocCache::new(8, 4, 128, ReplacementPolicy::Lru);
+        let mut model: HashMap<u64, Slot> = HashMap::new();
+        let mut out = Vec::new();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let la = x % 96;
+            match (x >> 8) % 16 {
+                0..=8 => {
+                    let f = c.fill_with(la, x & 1 == 1, 0, la, step);
+                    assert_eq!(f.inserted, !model.contains_key(&la));
+                    if let Some(ev) = f.evicted {
+                        assert_eq!(ev.meta, ev.line_addr, "metadata moves with the line");
+                        assert_eq!(model.remove(&ev.line_addr), Some(f.slot));
+                    }
+                    model.insert(la, f.slot);
+                }
+                9..=11 => {
+                    if let Some(slot) = c.find(la) {
+                        assert_eq!(c.touch(slot, AccessKind::Write, step).meta, la);
+                    }
+                }
+                12 | 13 => {
+                    if let Some(slot) = c.find(la) {
+                        assert_eq!(c.extract_at(slot).line_addr, la);
+                        assert!(!c.line(slot).is_valid());
+                        model.remove(&la);
+                    }
+                }
+                14 => {
+                    let from = 1 + (x >> 20) as usize % 3;
+                    out.clear();
+                    c.drain_ways_into(from, &mut out);
+                    for ev in &out {
+                        let slot = model
+                            .remove(&ev.line_addr)
+                            .expect("drained a resident line");
+                        assert!(slot.index() % 4 >= from, "only parked ways drain");
+                    }
+                }
+                _ if step % 64 == 0 => {
+                    out.clear();
+                    c.flush_into(&mut out);
+                    for &slot in model.values() {
+                        assert!(!c.line(slot).is_valid());
+                    }
+                    model.clear();
+                    c.set_salt(step);
+                }
+                _ => {}
+            }
+            for (&la, &slot) in &model {
+                assert_eq!(c.find(la), Some(slot), "line {la} moved");
+                assert!(c.line(slot).is_valid());
+                assert_eq!(c.line(slot).line_addr(), la);
+                assert_eq!(c.line(slot).meta, la);
+            }
+            assert_eq!(c.valid_slots().count(), model.len());
+        }
+    }
+
+    #[test]
+    fn insert_with_matches_fill_with_for_absent_lines() {
+        let mut a = cache(4, 2);
+        let mut b = cache(4, 2);
+        for la in [3u64, 7, 11, 3, 15, 19] {
+            if a.find(la).is_none() {
+                let fa = a.insert_with(la, true, 2, (), la);
+                let fb = b.fill_with(la, true, 2, (), la);
+                assert_eq!(fa, fb);
+            }
+        }
+        assert_eq!(a.write_count_matrix(), b.write_count_matrix());
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod stats;
 pub mod write_policy;
 
 pub use arbiter::BankArbiter;
-pub use cache::{AccessKind, Evicted, Line, SetAssocCache};
+pub use cache::{AccessKind, Evicted, Filled, Line, SetAssocCache, Slot};
 pub use linemap::{line_map_with_capacity, LineHasher, LineMap};
 pub use mshr::{MshrOutcome, MshrTable};
 pub use replacement::ReplacementPolicy;

@@ -1,9 +1,6 @@
 //! The two-part low/high-retention STT-RAM LLC — the paper's contribution.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use sttgpu_cache::{AccessKind, BankArbiter, Evicted, SetAssocCache};
+use sttgpu_cache::{AccessKind, BankArbiter, Evicted, SetAssocCache, Slot};
 use sttgpu_device::array::{ArrayDesign, ArrayGeometry};
 use sttgpu_device::cell::MemTechnology;
 use sttgpu_device::energy::{EnergyAccount, EnergyEvent};
@@ -12,6 +9,7 @@ use sttgpu_stats::Histogram;
 use sttgpu_trace::{BufferDir, PartId, Trace, TraceEvent};
 
 use crate::config::{SearchMode, TwoPartConfig};
+use crate::deadline::{DeadlineQueue, RetMeta};
 use crate::llc::{latency_to_ns, FillOutcome, LlcModel, LlcStats, ProbeOutcome};
 use crate::policy::{lr_maintenance_floor_ns, lr_tracker_at, PolicyEngine};
 use crate::retention::RetentionTracker;
@@ -41,25 +39,6 @@ fn fault_part(part: Part) -> FaultPart {
 /// Fig. 6 histogram bucket bounds, ns (≤1 µs, ≤5 µs, ≤10 µs, ≤1 ms,
 /// ≤2.5 ms, then an implicit >2.5 ms bucket).
 pub(crate) const REWRITE_BUCKET_BOUNDS_NS: [u64; 5] = [1_000, 5_000, 10_000, 1_000_000, 2_500_000];
-
-/// Per-line metadata of both parts: when the cell array last physically
-/// wrote this line (fill, demand write or refresh) — the retention clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct RetMeta {
-    written_at_ns: u64,
-}
-
-/// One pending retention deadline: `(deadline_ns, line_addr,
-/// written_at_ns)`, min-ordered by deadline inside a
-/// `BinaryHeap<Reverse<_>>`.
-///
-/// Entries use **lazy deletion**: every physical array write pushes a new
-/// entry, and a popped entry whose `written_at_ns` stamp no longer matches
-/// the line's current retention clock (the line was rewritten, refreshed,
-/// migrated or evicted since the push) is simply discarded. This turns the
-/// per-maintenance-tick cost from a full array scan into
-/// `O(due lines · log pending writes)`.
-type DeadlineEntry = Reverse<(u64, u64, u64)>;
 
 /// Counters specific to the two-part architecture.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -218,11 +197,11 @@ pub struct TwoPartLlc {
     lr_rewrite_intervals: Histogram,
     hr_rewrite_intervals: Histogram,
     next_rotation_ns: u64,
-    // Min-heaps of refresh/expiry deadlines (lazy deletion, see
-    // [`DeadlineEntry`]) so `maintain` visits only due lines instead of
-    // scanning both arrays every retention tick.
-    lr_deadlines: BinaryHeap<DeadlineEntry>,
-    hr_deadlines: BinaryHeap<DeadlineEntry>,
+    // Refresh/expiry deadline indexes (at most one tracked entry per
+    // slot, see `crate::deadline`) so `maintain` visits only due lines
+    // instead of scanning both arrays every retention tick.
+    lr_deadlines: DeadlineQueue,
+    hr_deadlines: DeadlineQueue,
     // Reused across wear-rotation epochs to keep `rotate_lr` off the
     // allocator.
     rotation_scratch: Vec<Evicted<RetMeta>>,
@@ -278,6 +257,7 @@ impl TwoPartLlc {
         );
         let energy =
             EnergyAccount::with_leakage_mw(lr_design.leakage_mw() + hr_design.leakage_mw());
+        let (lr_lines, hr_lines) = (lr.capacity_lines(), hr.capacity_lines());
         TwoPartLlc {
             lr,
             hr,
@@ -301,8 +281,8 @@ impl TwoPartLlc {
             lr_rewrite_intervals: Histogram::new(&REWRITE_BUCKET_BOUNDS_NS),
             hr_rewrite_intervals: Histogram::new(&REWRITE_BUCKET_BOUNDS_NS),
             next_rotation_ns: cfg.lr_rotation_period_ns.unwrap_or(u64::MAX),
-            lr_deadlines: BinaryHeap::new(),
-            hr_deadlines: BinaryHeap::new(),
+            lr_deadlines: DeadlineQueue::new(lr_lines),
+            hr_deadlines: DeadlineQueue::new(hr_lines),
             rotation_scratch: Vec::new(),
             lr_tag_ns: latency_to_ns("LR tag", lr_design.tag_latency_ns()),
             hr_tag_ns: latency_to_ns("HR tag", hr_design.tag_latency_ns()),
@@ -391,26 +371,37 @@ impl TwoPartLlc {
         self.hr_to_lr.overflows() + self.lr_to_hr.overflows()
     }
 
-    /// Records an LR array write at `written_ns`: schedules the line's
-    /// refresh deadline (slack ticks before the last retention tick).
-    fn note_lr_write(&mut self, la: u64, written_ns: u64) {
+    /// Records an LR array write at `written_ns` to the line at `slot`:
+    /// restarts its retention clock and schedules its refresh deadline
+    /// (slack ticks before the last retention tick).
+    fn note_lr_write(&mut self, slot: Slot, written_ns: u64) {
         let deadline = self
             .lr_rc
             .refresh_deadline_with_slack_ns(written_ns, self.cfg.refresh_slack_ticks as u64);
-        self.lr_deadlines.push(Reverse((deadline, la, written_ns)));
+        self.lr_deadlines
+            .arm(&mut self.lr, slot, written_ns, deadline);
     }
 
-    /// Records an HR array write at `written_ns`: schedules the line's
-    /// expiry deadline (HR lines are never refreshed).
-    fn note_hr_write(&mut self, la: u64, written_ns: u64) {
+    /// Records an HR array write at `written_ns` to the line at `slot`:
+    /// restarts its retention clock and schedules its expiry deadline (HR
+    /// lines are never refreshed).
+    fn note_hr_write(&mut self, slot: Slot, written_ns: u64) {
         let deadline = self.hr_rc.refresh_deadline_ns(written_ns);
-        self.hr_deadlines.push(Reverse((deadline, la, written_ns)));
+        self.hr_deadlines
+            .arm(&mut self.hr, slot, written_ns, deadline);
     }
 
-    fn part_contains(&self, part: Part, la: u64) -> bool {
+    fn array(&self, part: Part) -> &SetAssocCache<RetMeta> {
         match part {
-            Part::Lr => self.lr.contains(la),
-            Part::Hr => self.hr.contains(la),
+            Part::Lr => &self.lr,
+            Part::Hr => &self.hr,
+        }
+    }
+
+    fn array_mut(&mut self, part: Part) -> &mut SetAssocCache<RetMeta> {
+        match part {
+            Part::Lr => &mut self.lr,
+            Part::Hr => &mut self.hr,
         }
     }
 
@@ -449,11 +440,19 @@ impl TwoPartLlc {
         stalled
     }
 
-    /// Services a read hit in `part`. Returns completion time.
-    fn service_read(&mut self, part: Part, la: u64, tag_done_ns: u64, now_ns: u64) -> u64 {
+    /// Services a read hit on the line at `slot` of `part`. Returns
+    /// completion time.
+    fn service_read(
+        &mut self,
+        part: Part,
+        slot: Slot,
+        la: u64,
+        tag_done_ns: u64,
+        now_ns: u64,
+    ) -> u64 {
+        self.array_mut(part).touch(slot, AccessKind::Read, now_ns);
         match part {
             Part::Lr => {
-                self.lr.lookup(la, AccessKind::Read, now_ns);
                 self.stats.lr_read_hits += 1;
                 self.deposit(EnergyEvent::DataRead, self.lr_design.read_energy_nj());
                 let bank = self.lr_arb.bank_of(la);
@@ -461,7 +460,6 @@ impl TwoPartLlc {
                 start + self.lr_read_ns
             }
             Part::Hr => {
-                self.hr.lookup(la, AccessKind::Read, now_ns);
                 self.stats.hr_read_hits += 1;
                 self.deposit(EnergyEvent::DataRead, self.hr_design.read_energy_nj());
                 let bank = self.hr_arb.bank_of(la);
@@ -471,20 +469,15 @@ impl TwoPartLlc {
         }
     }
 
-    /// Physically writes a line already resident in LR. Returns completion.
-    fn lr_demand_write(&mut self, la: u64, tag_done_ns: u64, now_ns: u64) -> u64 {
+    /// Physically writes the line at LR `slot`. Returns completion.
+    fn lr_demand_write(&mut self, slot: Slot, la: u64, tag_done_ns: u64, now_ns: u64) -> u64 {
         // Record the rewrite interval before the write updates the clock.
-        if let Some(line) = self.lr.peek(la) {
-            let prev = line.last_write_ns();
-            if prev > 0 && now_ns > prev {
-                self.lr_rewrite_intervals.record(now_ns - prev);
-            }
+        let prev = self.lr.line(slot).last_write_ns();
+        if prev > 0 && now_ns > prev {
+            self.lr_rewrite_intervals.record(now_ns - prev);
         }
-        self.lr.lookup(la, AccessKind::Write, now_ns);
-        if let Some(line) = self.lr.peek_mut(la) {
-            line.meta.written_at_ns = now_ns;
-        }
-        self.note_lr_write(la, now_ns);
+        self.lr.touch(slot, AccessKind::Write, now_ns);
+        self.note_lr_write(slot, now_ns);
         self.stats.lr_write_hits += 1;
         self.stats.demand_writes_lr += 1;
         self.stats.lr_array_writes += 1;
@@ -494,31 +487,27 @@ impl TwoPartLlc {
         start + self.lr_write_ns
     }
 
-    /// Whether the next demand write to the HR-resident line `la` will
+    /// Whether the next demand write to the line at HR `slot` will
     /// trigger a WWS migration — i.e. the count [`hr_write_hit`] will
-    /// observe after its lookup bumps the write counter reaches the
+    /// observe after its touch bumps the write counter reaches the
     /// threshold. Asks the policy's prediction hook directly so the check
     /// does not perturb the monitor's decision statistics.
     ///
     /// [`hr_write_hit`]: Self::hr_write_hit
-    fn migration_is_due(&self, la: u64) -> bool {
-        self.hr
-            .peek(la)
-            .is_some_and(|l| self.engine.migration_due(l.write_count()))
+    fn migration_is_due(&self, slot: Slot) -> bool {
+        self.engine.migration_due(self.hr.line(slot).write_count())
     }
 
-    /// Handles a write that hit in HR: either service it in place or
-    /// migrate the block to LR per the WWS monitor.
-    fn hr_write_hit(&mut self, la: u64, tag_done_ns: u64, now_ns: u64) -> (u64, u32) {
-        if let Some(line) = self.hr.peek(la) {
-            let prev = line.last_write_ns();
-            if prev > 0 && now_ns > prev {
-                self.hr_rewrite_intervals.record(now_ns - prev);
-            }
+    /// Handles a write that hit the line at HR `slot`: either service it
+    /// in place or migrate the block to LR per the WWS monitor. The probe
+    /// searched LR first and missed, so the block is known absent there.
+    fn hr_write_hit(&mut self, slot: Slot, la: u64, tag_done_ns: u64, now_ns: u64) -> (u64, u32) {
+        let prev = self.hr.line(slot).last_write_ns();
+        if prev > 0 && now_ns > prev {
+            self.hr_rewrite_intervals.record(now_ns - prev);
         }
-        self.hr.lookup(la, AccessKind::Write, now_ns);
+        let count = self.hr.touch(slot, AccessKind::Write, now_ns).write_count();
         self.stats.hr_write_hits += 1;
-        let count = self.hr.peek(la).map_or(1, |l| l.write_count());
 
         let migrate = self.engine.should_migrate(count);
         self.wws.record(migrate);
@@ -536,15 +525,7 @@ impl TwoPartLlc {
             if !self.fault_stall(BufferDir::HrToLr, la, now_ns)
                 && self.hr_to_lr.try_reserve(now_ns, write_done)
             {
-                let Some(victim) = self.hr.extract(la) else {
-                    // The line vanished between the tag probe and the
-                    // extract — defense in depth for fault paths that
-                    // invalidate lines mid-access (the probe-side ECC
-                    // check re-misses those before dispatching here).
-                    // Service the write in place; the reserved buffer
-                    // slot simply drains unused.
-                    return (self.hr_write_in_place(la, tag_done_ns, now_ns), 0);
-                };
+                let victim = self.hr.extract_at(slot);
                 self.trace.emit(|| TraceEvent::BufferAdmit {
                     dir: BufferDir::HrToLr,
                     la,
@@ -562,15 +543,9 @@ impl TwoPartLlc {
                 self.stats.demand_writes_lr += 1;
                 self.stats.lr_array_writes += 1;
                 let mut writebacks = 0;
-                let evicted = self.lr.fill_with(
-                    la,
-                    true,
-                    victim.write_count,
-                    RetMeta {
-                        written_at_ns: now_ns,
-                    },
-                    now_ns,
-                );
+                let filled =
+                    self.lr
+                        .insert_with(la, true, victim.write_count, RetMeta::default(), now_ns);
                 self.trace.emit(|| TraceEvent::Fill {
                     part: PartId::Lr,
                     la,
@@ -581,8 +556,8 @@ impl TwoPartLlc {
                     la,
                     now_ns,
                 });
-                self.note_lr_write(la, now_ns);
-                if let Some(lr_victim) = evicted {
+                self.note_lr_write(filled.slot, now_ns);
+                if let Some(lr_victim) = filled.evicted {
                     writebacks += self.demote(lr_victim, now_ns);
                 }
                 (write_done, writebacks)
@@ -593,21 +568,18 @@ impl TwoPartLlc {
                     la,
                     now_ns,
                 });
-                let wb = self.hr_write_in_place(la, tag_done_ns, now_ns);
+                let wb = self.hr_write_in_place(slot, la, tag_done_ns, now_ns);
                 (wb, 0)
             }
         } else {
-            (self.hr_write_in_place(la, tag_done_ns, now_ns), 0)
+            (self.hr_write_in_place(slot, la, tag_done_ns, now_ns), 0)
         }
     }
 
-    /// Writes a line in place in the HR array (below-threshold writes and
+    /// Writes the line at HR `slot` in place (below-threshold writes and
     /// buffer-full fallbacks). Returns completion time.
-    fn hr_write_in_place(&mut self, la: u64, tag_done_ns: u64, now_ns: u64) -> u64 {
-        if let Some(line) = self.hr.peek_mut(la) {
-            line.meta.written_at_ns = now_ns;
-        }
-        self.note_hr_write(la, now_ns);
+    fn hr_write_in_place(&mut self, slot: Slot, la: u64, tag_done_ns: u64, now_ns: u64) -> u64 {
+        self.note_hr_write(slot, now_ns);
         self.stats.demand_writes_hr += 1;
         self.stats.hr_array_writes += 1;
         self.deposit(EnergyEvent::DataWrite, self.hr_design.write_energy_nj());
@@ -670,15 +642,14 @@ impl TwoPartLlc {
         self.stats.demotions_to_hr += 1;
         self.stats.hr_array_writes += 1;
         let mut writebacks = 0;
-        if let Some(hr_victim) = self.hr.fill_with(
+        let filled = self.hr.fill_with(
             victim.line_addr,
             victim.dirty,
             0,
-            RetMeta {
-                written_at_ns: now_ns,
-            },
+            RetMeta::default(),
             now_ns,
-        ) {
+        );
+        if let Some(hr_victim) = filled.evicted {
             self.trace.emit(|| TraceEvent::Evict {
                 part: PartId::Hr,
                 la: hr_victim.line_addr,
@@ -695,9 +666,7 @@ impl TwoPartLlc {
         // judges HR-resident behaviour only. `fill_with` counts the
         // filling write via the dirty flag, which would leave dirty
         // demotions one demand write ahead at thresholds 2..3.
-        if let Some(line) = self.hr.peek_mut(victim.line_addr) {
-            line.set_write_count(0);
-        }
+        self.hr.line_mut(filled.slot).set_write_count(0);
         self.trace.emit(|| TraceEvent::Fill {
             part: PartId::Hr,
             la: victim.line_addr,
@@ -708,7 +677,11 @@ impl TwoPartLlc {
             la: victim.line_addr,
             now_ns,
         });
-        self.note_hr_write(victim.line_addr, now_ns);
+        // A fill that only merged into an already-resident copy leaves
+        // that copy's retention clock alone.
+        if filled.inserted {
+            self.note_hr_write(filled.slot, now_ns);
+        }
         writebacks
     }
 
@@ -719,6 +692,7 @@ impl TwoPartLlc {
         let mut victims = std::mem::take(&mut self.rotation_scratch);
         victims.clear();
         self.lr.flush_into(&mut victims);
+        self.lr_deadlines.clear();
         // `flush_into` returns only dirty lines; clean LR lines do not
         // exist (everything in LR arrived via a write), but be permissive.
         for victim in victims.drain(..) {
@@ -732,15 +706,14 @@ impl TwoPartLlc {
             self.deposit(EnergyEvent::Migration, self.hr_design.write_energy_nj());
             self.stats.demotions_to_hr += 1;
             self.stats.hr_array_writes += 1;
-            if let Some(hr_victim) = self.hr.fill_with(
+            let filled = self.hr.fill_with(
                 victim.line_addr,
                 victim.dirty,
                 0,
-                RetMeta {
-                    written_at_ns: now_ns,
-                },
+                RetMeta::default(),
                 now_ns,
-            ) {
+            );
+            if let Some(hr_victim) = filled.evicted {
                 self.trace.emit(|| TraceEvent::Evict {
                     part: PartId::Hr,
                     la: hr_victim.line_addr,
@@ -754,15 +727,15 @@ impl TwoPartLlc {
             }
             // As in `demote`: a rotation demotion starts a fresh HR
             // residency, so the WWS count restarts at zero.
-            if let Some(line) = self.hr.peek_mut(victim.line_addr) {
-                line.set_write_count(0);
-            }
+            self.hr.line_mut(filled.slot).set_write_count(0);
             self.trace.emit(|| TraceEvent::Fill {
                 part: PartId::Hr,
                 la: victim.line_addr,
                 now_ns,
             });
-            self.note_hr_write(victim.line_addr, now_ns);
+            if filled.inserted {
+                self.note_hr_write(filled.slot, now_ns);
+            }
         }
         self.rotation_scratch = victims;
         // A large prime stride: consecutive epochs must map the (wide)
@@ -797,27 +770,34 @@ impl TwoPartLlc {
     /// retention clock restarts under the new tracker.
     fn apply_retention_level(&mut self, level: u32, now_ns: u64) {
         self.lr_rc = lr_tracker_at(self.cfg.lr_retention, self.cfg.lr_rc_bits, level);
-        // The sweep stamps lines at `now + 1` — a time no past write can
-        // share — so every pre-switch heap entry goes stale on its stamp
-        // check and deadlines never mix trackers. Each rewrite is a
-        // physical array write priced like a refresh, but it is *not* a
-        // protocol refresh: no `refreshes` count and no `Refresh` events
-        // (mid-life rewrites would trip the checker's refresh-tail rule).
+        // The sweep stamps lines at `now + 1` and rebuilds the LR deadline
+        // index under the new tracker, so deadlines never mix trackers.
+        // Each rewrite is a physical array write priced like a refresh,
+        // but it is *not* a protocol refresh: no `refreshes` count and no
+        // `Refresh` events (mid-life rewrites would trip the checker's
+        // refresh-tail rule).
         let stamp = now_ns + 1;
-        let mut resident = Vec::new();
-        for line in self.lr.iter_mut() {
-            if line.is_valid() {
-                line.meta.written_at_ns = stamp;
-                resident.push(line.line_addr());
-            }
-        }
-        for la in resident {
+        let deadline = self
+            .lr_rc
+            .refresh_deadline_with_slack_ns(stamp, self.cfg.refresh_slack_ticks as u64);
+        self.lr_deadlines.clear();
+        let resident: Vec<Slot> = self.lr.valid_slots().collect();
+        for slot in resident {
+            // A line a call already wrote at exactly `now + 1` (calls can
+            // arrive ahead of the maintenance clock) keeps its pre-switch
+            // deadline when that is sooner: its clock has the same stamp.
+            let meta = self.lr.line(slot).meta;
+            let due = if meta.written_at_ns == stamp {
+                deadline.min(meta.due_ns)
+            } else {
+                deadline
+            };
             self.stats.lr_array_writes += 1;
             self.deposit(
                 EnergyEvent::Refresh,
                 self.lr_design.read_energy_nj() + self.lr_design.write_energy_nj(),
             );
-            self.note_lr_write(la, stamp);
+            self.lr_deadlines.arm(&mut self.lr, slot, stamp, due);
         }
         let lr_rc = self.lr_rc;
         let slack = self.cfg.refresh_slack_ticks as u64;
@@ -875,20 +855,22 @@ impl LlcModel for TwoPartLlc {
         let la = byte_addr / self.cfg.line_bytes as u64;
         let order = SearchSelector::order(kind);
 
-        // Determine the hit part and the time the winning tag lookup
-        // resolves, per the configured search mode.
-        let (mut hit_part, mut tag_done_ns) = match self.cfg.search {
+        // Determine the hit part and slot, and the time the winning tag
+        // lookup resolves, per the configured search mode. Each part's
+        // tag row is searched at most once per call; everything after
+        // works on the slot.
+        let (mut hit, mut tag_done_ns) = match self.cfg.search {
             SearchMode::Sequential => {
                 let mut t = now_ns;
                 let mut found = None;
                 for (i, part) in order.into_iter().enumerate() {
                     self.deposit_tag(part);
                     t += self.tag_ns(part);
-                    if self.part_contains(part, la) {
+                    if let Some(slot) = self.array(part).find(la) {
                         if i == 1 {
                             self.stats.second_search_hits += 1;
                         }
-                        found = Some(part);
+                        found = Some((part, slot));
                         break;
                     }
                 }
@@ -898,12 +880,9 @@ impl LlcModel for TwoPartLlc {
                 self.deposit_tag(Part::Lr);
                 self.deposit_tag(Part::Hr);
                 let t = now_ns + self.lr_tag_ns.max(self.hr_tag_ns);
-                let found = if self.part_contains(Part::Lr, la) {
-                    Some(Part::Lr)
-                } else if self.part_contains(Part::Hr, la) {
-                    Some(Part::Hr)
-                } else {
-                    None
+                let found = match self.lr.find(la) {
+                    Some(slot) => Some((Part::Lr, slot)),
+                    None => self.hr.find(la).map(|slot| (Part::Hr, slot)),
                 };
                 (found, t)
             }
@@ -930,17 +909,13 @@ impl LlcModel for TwoPartLlc {
             // out of HR before merging the demand data into LR). A plain
             // write hit overwrites the payload and starts a fresh fault
             // epoch without reading.
-            let ecc_part = match (hit_part, kind.is_write()) {
-                (Some(part), false) => Some(part),
-                (Some(Part::Hr), true) if self.migration_is_due(la) => Some(Part::Hr),
+            let ecc_hit = match (hit, kind.is_write()) {
+                (Some(h), false) => Some(h),
+                (Some((Part::Hr, slot)), true) if self.migration_is_due(slot) => hit,
                 _ => None,
             };
-            if let Some(part) = ecc_part {
-                let written_at_ns = match part {
-                    Part::Lr => self.lr.peek(la),
-                    Part::Hr => self.hr.peek(la),
-                }
-                .map_or(now_ns, |l| l.meta.written_at_ns);
+            if let Some((part, slot)) = ecc_hit {
+                let written_at_ns = self.array(part).line(slot).meta.written_at_ns;
                 match self
                     .fault
                     .line_outcome(fault_part(part), la, written_at_ns, now_ns)
@@ -963,11 +938,7 @@ impl LlcModel for TwoPartLlc {
                         // loss — there is nothing valid to write back.
                         self.stats.ecc_uncorrectable += 1;
                         self.deposit(EnergyEvent::Ecc, ECC_ENERGY_NJ);
-                        let victim = match part {
-                            Part::Lr => self.lr.extract(la),
-                            Part::Hr => self.hr.extract(la),
-                        };
-                        let data_lost = victim.is_some_and(|v| v.dirty);
+                        let data_lost = self.array_mut(part).extract_at(slot).dirty;
                         if data_lost {
                             self.stats.data_loss_events += 1;
                         }
@@ -977,7 +948,7 @@ impl LlcModel for TwoPartLlc {
                             data_lost,
                             now_ns,
                         });
-                        hit_part = None;
+                        hit = None;
                     }
                 }
             }
@@ -986,13 +957,9 @@ impl LlcModel for TwoPartLlc {
         // Emit the outcome before the service routines update the line's
         // retention clock, so the event carries the age the hit was
         // actually served at.
-        match hit_part {
-            Some(part) => self.trace.emit(|| {
-                let written_at_ns = match part {
-                    Part::Lr => self.lr.peek(la),
-                    Part::Hr => self.hr.peek(la),
-                }
-                .map_or(now_ns, |l| l.meta.written_at_ns);
+        match hit {
+            Some((part, slot)) => self.trace.emit(|| {
+                let written_at_ns = self.array(part).line(slot).meta.written_at_ns;
                 TraceEvent::Hit {
                     part: part.into(),
                     la,
@@ -1008,25 +975,25 @@ impl LlcModel for TwoPartLlc {
             }),
         }
 
-        match (hit_part, kind) {
-            (Some(part), AccessKind::Read) => {
-                let ready = self.service_read(part, la, tag_done_ns, now_ns);
+        match (hit, kind) {
+            (Some((part, slot)), AccessKind::Read) => {
+                let ready = self.service_read(part, slot, la, tag_done_ns, now_ns);
                 ProbeOutcome {
                     hit: true,
                     ready_ns: ready + ecc_extra_ns,
                     writebacks: 0,
                 }
             }
-            (Some(Part::Lr), AccessKind::Write) => {
-                let ready = self.lr_demand_write(la, tag_done_ns, now_ns);
+            (Some((Part::Lr, slot)), AccessKind::Write) => {
+                let ready = self.lr_demand_write(slot, la, tag_done_ns, now_ns);
                 ProbeOutcome {
                     hit: true,
                     ready_ns: ready,
                     writebacks: 0,
                 }
             }
-            (Some(Part::Hr), AccessKind::Write) => {
-                let (ready, writebacks) = self.hr_write_hit(la, tag_done_ns, now_ns);
+            (Some((Part::Hr, slot)), AccessKind::Write) => {
+                let (ready, writebacks) = self.hr_write_hit(slot, la, tag_done_ns, now_ns);
                 ProbeOutcome {
                     hit: true,
                     ready_ns: ready + ecc_extra_ns,
@@ -1062,15 +1029,8 @@ impl LlcModel for TwoPartLlc {
             self.deposit(EnergyEvent::DataWrite, self.lr_design.write_energy_nj());
             // Fills drain through fill buffers into idle bank slots.
             ready_ns = now_ns + self.lr_write_ns;
-            if let Some(victim) = self.lr.fill_with(
-                la,
-                dirty,
-                0,
-                RetMeta {
-                    written_at_ns: now_ns,
-                },
-                now_ns,
-            ) {
+            let filled = self.lr.fill_with(la, dirty, 0, RetMeta::default(), now_ns);
+            if let Some(victim) = filled.evicted {
                 writebacks += self.demote(victim, now_ns);
             }
             self.trace.emit(|| TraceEvent::Fill {
@@ -1078,7 +1038,9 @@ impl LlcModel for TwoPartLlc {
                 la,
                 now_ns,
             });
-            self.note_lr_write(la, now_ns);
+            if filled.inserted {
+                self.note_lr_write(filled.slot, now_ns);
+            }
         } else {
             self.stats.fills_to_hr += 1;
             if dirty {
@@ -1092,15 +1054,8 @@ impl LlcModel for TwoPartLlc {
             // counts the filling write via the dirty flag, so seeding the
             // counter with `dirty as u32` double-counted it and made
             // threshold-2..3 blocks migrate one demand write early.
-            if let Some(victim) = self.hr.fill_with(
-                la,
-                dirty,
-                0,
-                RetMeta {
-                    written_at_ns: now_ns,
-                },
-                now_ns,
-            ) {
+            let filled = self.hr.fill_with(la, dirty, 0, RetMeta::default(), now_ns);
+            if let Some(victim) = filled.evicted {
                 self.trace.emit(|| TraceEvent::Evict {
                     part: PartId::Hr,
                     la: victim.line_addr,
@@ -1118,7 +1073,9 @@ impl LlcModel for TwoPartLlc {
                 la,
                 now_ns,
             });
-            self.note_hr_write(la, now_ns);
+            if filled.inserted {
+                self.note_hr_write(filled.slot, now_ns);
+            }
         }
         FillOutcome {
             ready_ns,
@@ -1136,40 +1093,27 @@ impl LlcModel for TwoPartLlc {
             }
         }
         // --- LR refresh engine -------------------------------------------
-        // Pop due deadlines instead of scanning the array; a stale stamp
-        // (the line was rewritten, refreshed or evicted since the push)
-        // discards the entry. Expiry implies the refresh deadline passed
-        // too, so one queue covers both outcomes.
-        while let Some(&Reverse((deadline, la, stamp))) = self.lr_deadlines.peek() {
-            if deadline > now_ns {
-                break;
-            }
-            self.lr_deadlines.pop();
-            let live = self
-                .lr
-                .peek(la)
-                .is_some_and(|l| l.is_valid() && l.meta.written_at_ns == stamp);
-            if !live {
-                continue;
-            }
+        // Pop due lines from the deadline index instead of scanning the
+        // array. Expiry implies the refresh deadline passed too, so one
+        // queue covers both outcomes.
+        while let Some((slot, la, stamp)) = self.lr_deadlines.pop_due(&self.lr, now_ns) {
             if self.lr_rc.is_expired(stamp, now_ns) {
                 // Maintenance cadence was violated: data already lost.
                 self.stats.lr_expirations += 1;
-                if let Some(victim) = self.lr.extract(la) {
-                    self.trace.emit(|| TraceEvent::Expire {
-                        part: PartId::Lr,
-                        la,
-                        written_at_ns: stamp,
-                        wrote_back: victim.dirty,
-                        now_ns,
-                    });
-                    if victim.dirty {
-                        // Account the (unrecoverable in hardware) loss as a
-                        // write-back so the simulation stays functionally
-                        // consistent; `lr_expirations` flags the violation.
-                        self.stats.writebacks += 1;
-                        self.deposit(EnergyEvent::Writeback, self.lr_design.read_energy_nj());
-                    }
+                let victim = self.lr.extract_at(slot);
+                self.trace.emit(|| TraceEvent::Expire {
+                    part: PartId::Lr,
+                    la,
+                    written_at_ns: stamp,
+                    wrote_back: victim.dirty,
+                    now_ns,
+                });
+                if victim.dirty {
+                    // Account the (unrecoverable in hardware) loss as a
+                    // write-back so the simulation stays functionally
+                    // consistent; `lr_expirations` flags the violation.
+                    self.stats.writebacks += 1;
+                    self.deposit(EnergyEvent::Writeback, self.lr_design.read_energy_nj());
                 }
                 continue;
             }
@@ -1184,7 +1128,7 @@ impl LlcModel for TwoPartLlc {
                         written_at_ns: stamp,
                         now_ns,
                     });
-                    self.lr_deadlines.push(Reverse((now_ns + 1, la, stamp)));
+                    self.lr_deadlines.arm(&mut self.lr, slot, stamp, now_ns + 1);
                     continue;
                 }
                 // The refresh read doubles as a scrub: ECC sees the line's
@@ -1203,8 +1147,7 @@ impl LlcModel for TwoPartLlc {
                     FaultOutcome::Uncorrectable => {
                         self.stats.ecc_uncorrectable += 1;
                         self.deposit(EnergyEvent::Ecc, ECC_ENERGY_NJ);
-                        let victim = self.lr.extract(la);
-                        let data_lost = victim.is_some_and(|v| v.dirty);
+                        let data_lost = self.lr.extract_at(slot).dirty;
                         if data_lost {
                             self.stats.data_loss_events += 1;
                         }
@@ -1241,16 +1184,14 @@ impl LlcModel for TwoPartLlc {
                 self.deposit(EnergyEvent::Buffer, BUFFER_ENERGY_NJ);
                 self.stats.refreshes += 1;
                 self.stats.lr_array_writes += 1;
-                if let Some(line) = self.lr.peek_mut(la) {
-                    line.meta.written_at_ns = now_ns;
-                }
                 self.trace.emit(|| TraceEvent::BufferInstall {
                     dir: BufferDir::LrToHr,
                     la,
                     now_ns,
                 });
-                self.note_lr_write(la, now_ns);
-            } else if let Some(victim) = self.lr.extract(la) {
+                self.note_lr_write(slot, now_ns);
+            } else {
+                let victim = self.lr.extract_at(slot);
                 // No buffer slot before expiry: evacuate instead of losing
                 // data — dirty lines go to DRAM, clean lines are dropped.
                 self.trace.emit(|| TraceEvent::BufferOverflow {
@@ -1275,31 +1216,19 @@ impl LlcModel for TwoPartLlc {
         // --- HR expiry engine --------------------------------------------
         // HR has no refresh: lines reaching the last RC tick are
         // invalidated (clean) or written back (dirty).
-        while let Some(&Reverse((deadline, la, stamp))) = self.hr_deadlines.peek() {
-            if deadline > now_ns {
-                break;
-            }
-            self.hr_deadlines.pop();
-            let live = self
-                .hr
-                .peek(la)
-                .is_some_and(|l| l.is_valid() && l.meta.written_at_ns == stamp);
-            if !live {
-                continue;
-            }
+        while let Some((slot, la, stamp)) = self.hr_deadlines.pop_due(&self.hr, now_ns) {
             self.stats.hr_expirations += 1;
-            if let Some(victim) = self.hr.extract(la) {
-                self.trace.emit(|| TraceEvent::Expire {
-                    part: PartId::Hr,
-                    la,
-                    written_at_ns: stamp,
-                    wrote_back: victim.dirty,
-                    now_ns,
-                });
-                if victim.dirty {
-                    self.stats.writebacks += 1;
-                    self.deposit(EnergyEvent::Writeback, self.hr_design.read_energy_nj());
-                }
+            let victim = self.hr.extract_at(slot);
+            self.trace.emit(|| TraceEvent::Expire {
+                part: PartId::Hr,
+                la,
+                written_at_ns: stamp,
+                wrote_back: victim.dirty,
+                now_ns,
+            });
+            if victim.dirty {
+                self.stats.writebacks += 1;
+                self.deposit(EnergyEvent::Writeback, self.hr_design.read_energy_nj());
             }
         }
     }
@@ -1727,11 +1656,11 @@ mod tests {
         );
     }
 
-    /// The load-bearing property of the lazy-deletion deadline queues:
-    /// after every `maintain(t)`, no valid line in either part is past its
-    /// due point — exactly what the old full-array scan guaranteed.
+    /// The load-bearing property of the deadline indexes: after every
+    /// `maintain(t)`, no valid line in either part is past its due point
+    /// — exactly what a full-array scan guarantees.
     #[test]
-    fn heap_maintenance_never_misses_a_due_line() {
+    fn deadline_index_never_misses_a_due_line() {
         for buffer_blocks in [256usize, 1] {
             let cfg = TwoPartConfig::new(8, 2, 56, 7, 256).with_buffer_blocks(buffer_blocks);
             let mut llc = TwoPartLlc::new(cfg);
@@ -1800,6 +1729,284 @@ mod tests {
                 "idle phase must exercise HR expiry"
             );
         }
+    }
+
+    // --- deadline index vs a brute-force scan ----------------------------
+
+    use std::collections::HashMap;
+    use std::sync::{Arc, Mutex};
+    use sttgpu_trace::VecSink;
+
+    /// Checks the deadline index against a brute-force reference: before
+    /// every `maintain(t)` the reference scans every resident line of
+    /// both parts and lists the lines whose deadline is due, in
+    /// `(deadline, la, stamp)` order; the LLC must visit exactly those,
+    /// in that order, and leave none of them due.
+    struct ScanCheck {
+        sink: Arc<Mutex<VecSink>>,
+        /// LR lines whose refresh was dropped: la → (stamp, re-armed
+        /// deadline), live while the line keeps that stamp.
+        rearmed: HashMap<u64, (u64, u64)>,
+        /// Maintains whose visits were compared (no policy switch inside).
+        compared: u64,
+    }
+
+    impl ScanCheck {
+        fn attach(llc: &mut TwoPartLlc) -> Self {
+            let sink = Arc::new(Mutex::new(VecSink::new()));
+            llc.set_trace(Trace::to_sink(Arc::clone(&sink)));
+            ScanCheck {
+                sink,
+                rearmed: HashMap::new(),
+                compared: 0,
+            }
+        }
+
+        /// Due lines of both parts at `now`, in visit order.
+        fn scan(&self, llc: &TwoPartLlc, now: u64) -> (Vec<u64>, Vec<u64>) {
+            let slack = llc.cfg.refresh_slack_ticks as u64;
+            let due = |part: &SetAssocCache<RetMeta>, deadline: &dyn Fn(u64, u64) -> u64| {
+                let mut due: Vec<(u64, u64, u64)> = part
+                    .iter()
+                    .filter(|l| l.is_valid())
+                    .map(|l| {
+                        let stamp = l.meta.written_at_ns;
+                        (deadline(l.line_addr(), stamp), l.line_addr(), stamp)
+                    })
+                    .filter(|&(d, _, _)| d <= now)
+                    .collect();
+                due.sort_unstable();
+                due.into_iter().map(|(_, la, _)| la).collect::<Vec<_>>()
+            };
+            let lr = due(&llc.lr, &|la, stamp| match self.rearmed.get(&la) {
+                Some(&(s, at)) if s == stamp => at,
+                _ => llc.lr_rc.refresh_deadline_with_slack_ns(stamp, slack),
+            });
+            let hr = due(&llc.hr, &|_, stamp| llc.hr_rc.refresh_deadline_ns(stamp));
+            (lr, hr)
+        }
+
+        fn maintain(&mut self, llc: &mut TwoPartLlc, now: u64) {
+            let want = self.scan(llc, now);
+            self.sink.lock().unwrap().take();
+            llc.maintain(now);
+            let events = self.sink.lock().unwrap().take();
+            let (mut lr, mut hr) = (Vec::new(), Vec::new());
+            let mut switched = false;
+            for ev in &events {
+                match *ev {
+                    TraceEvent::Refresh { la, .. }
+                    | TraceEvent::Expire {
+                        part: PartId::Lr,
+                        la,
+                        ..
+                    }
+                    | TraceEvent::EccUncorrectable {
+                        part: PartId::Lr,
+                        la,
+                        ..
+                    }
+                    | TraceEvent::BufferOverflow {
+                        dir: BufferDir::LrToHr,
+                        la,
+                        ..
+                    } => lr.push(la),
+                    TraceEvent::RefreshDropped {
+                        la, written_at_ns, ..
+                    } => {
+                        lr.push(la);
+                        self.rearmed.insert(la, (written_at_ns, now + 1));
+                    }
+                    TraceEvent::Expire {
+                        part: PartId::Hr,
+                        la,
+                        ..
+                    } => hr.push(la),
+                    TraceEvent::PolicySwitch { .. } => switched = true,
+                    _ => {}
+                }
+            }
+            // A retention switch restamps LR inside the call, so the
+            // pre-call scan no longer applies; the post-condition does.
+            if !switched {
+                assert_eq!((lr, hr), want, "visits at t={now}");
+                self.compared += 1;
+            }
+            assert_eq!(
+                self.scan(llc, now),
+                (vec![], vec![]),
+                "a line is left past its deadline at t={now}"
+            );
+        }
+    }
+
+    /// Seeded traffic over `lines` addresses with per-call jitter and
+    /// rewrites behind the previous call's time (the raw call stream is
+    /// not monotone in time), maintaining at the LLC's cadence under the
+    /// scan check.
+    fn traffic_under_scan(llc: &mut TwoPartLlc, seed: u64, calls: u64, lines: u64) -> ScanCheck {
+        let mut check = ScanCheck::attach(llc);
+        let tick = llc.maintenance_interval_ns();
+        let mut x = seed | 1;
+        let mut now = 1_000u64;
+        let mut next_maint = tick;
+        let mut prev = addr(0);
+        for _ in 0..calls {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            now += 200 + x % 700;
+            while next_maint <= now {
+                check.maintain(llc, next_maint);
+                next_maint += tick;
+            }
+            // Calls arrive up to 300 ns ahead of the maintenance clock,
+            // and some land in the same ns as the previous call.
+            let at = now + (x >> 12) % 300;
+            let a = addr((x >> 24) % lines);
+            let kind = if (x >> 40) % 5 < 3 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            if !llc.probe(a, kind, at).hit {
+                llc.fill(a, kind.is_write(), at);
+            }
+            match (x >> 48) % 7 {
+                0 => {
+                    llc.probe(a, AccessKind::Write, at);
+                }
+                // Rewrite the previous call's line behind its own time.
+                1 => {
+                    llc.probe(prev, AccessKind::Write, at - 1 - (x >> 32) % 400);
+                }
+                _ => {}
+            }
+            prev = a;
+        }
+        check
+    }
+
+    #[test]
+    fn deadline_index_matches_the_scan_under_random_traffic() {
+        for buffer_blocks in [10usize, 1] {
+            let cfg = TwoPartConfig::new(8, 2, 56, 7, 256).with_buffer_blocks(buffer_blocks);
+            let mut llc = TwoPartLlc::new(cfg);
+            let check = traffic_under_scan(&mut llc, 0x5EED + buffer_blocks as u64, 20_000, 400);
+            assert!(
+                check.compared > 5_000,
+                "{} maintains compared",
+                check.compared
+            );
+            assert!(llc.stats().refreshes > 0);
+            assert!(llc.stats().lr_expirations == 0);
+        }
+    }
+
+    #[test]
+    fn deadline_index_matches_the_scan_under_faults() {
+        let cfg = TwoPartConfig::new(8, 2, 56, 7, 256).with_fault(FaultConfig {
+            seed: 21,
+            refresh_drop_rate: 0.4,
+            flip_rate: 1e-4,
+            buffer_stall_rate: 0.05,
+            ..FaultConfig::disabled()
+        });
+        let mut llc = TwoPartLlc::new(cfg);
+        traffic_under_scan(&mut llc, 77, 20_000, 300);
+        let s = llc.stats();
+        assert!(s.refresh_drops > 0 && s.refreshes > 0 && s.lr_expirations > 0);
+    }
+
+    #[test]
+    fn an_earlier_rewrite_refreshes_at_the_earlier_deadline() {
+        let mut llc = small();
+        let mut check = ScanCheck::attach(&mut llc);
+        llc.fill(addr(1), true, 5_000);
+        // A call that arrived behind the previous one rewrites the line
+        // with an earlier stamp: the earlier deadline is the live one.
+        llc.probe(addr(1), AccessKind::Write, 4_000);
+        let slack = llc.cfg.refresh_slack_ticks as u64;
+        let due = llc.lr_rc.refresh_deadline_with_slack_ns(4_000, slack);
+        check.maintain(&mut llc, due - 1);
+        assert_eq!(llc.stats().refreshes, 0);
+        check.maintain(&mut llc, due);
+        assert_eq!(
+            llc.stats().refreshes,
+            1,
+            "refreshed at the earlier deadline"
+        );
+        // The later stamp's deadline passes without a second visit.
+        check.maintain(&mut llc, due + 1_000);
+        assert_eq!(llc.stats().refreshes, 1);
+    }
+
+    #[test]
+    fn same_ns_rewrites_are_visited_once() {
+        let mut llc = faulty(FaultConfig {
+            seed: 11,
+            refresh_drop_rate: 1.0,
+            ..FaultConfig::disabled()
+        });
+        let mut check = ScanCheck::attach(&mut llc);
+        llc.fill(addr(3), true, 1_000);
+        llc.probe(addr(3), AccessKind::Write, 1_000);
+        llc.probe(addr(3), AccessKind::Write, 1_000);
+        let slack = llc.cfg.refresh_slack_ticks as u64;
+        let due = llc.lr_rc.refresh_deadline_with_slack_ns(1_000, slack);
+        check.maintain(&mut llc, due);
+        assert_eq!(llc.stats().refresh_drops, 1, "one visit per line");
+    }
+
+    #[test]
+    fn a_dropped_refresh_re_arms_at_now_plus_one() {
+        let mut llc = faulty(FaultConfig {
+            seed: 11,
+            refresh_drop_rate: 1.0,
+            ..FaultConfig::disabled()
+        });
+        let mut check = ScanCheck::attach(&mut llc);
+        llc.fill(addr(9), true, 0);
+        llc.fill(addr(10), true, 600);
+        let slack = llc.cfg.refresh_slack_ticks as u64;
+        let due = llc.lr_rc.refresh_deadline_with_slack_ns(0, slack);
+        check.maintain(&mut llc, due);
+        assert_eq!(llc.stats().refresh_drops, 1);
+        check.maintain(&mut llc, due);
+        assert_eq!(llc.stats().refresh_drops, 1, "not due again until now + 1");
+        // At now + 1 the re-armed line comes before a line whose own
+        // deadline is later, even though both are due.
+        check.maintain(&mut llc, due + 600);
+        assert_eq!(llc.stats().refresh_drops, 3);
+        let expiry = llc.lr_rc.retention_ns();
+        check.maintain(&mut llc, expiry);
+        assert_eq!(llc.stats().lr_expirations, 1);
+        assert!(!llc.lr_contains(addr(9)));
+    }
+
+    #[test]
+    fn a_retention_descent_leaves_no_line_past_its_shorter_deadline() {
+        let cfg = TwoPartConfig::new(8, 2, 56, 7, 256)
+            .with_policy(crate::policy::LlcPolicy::AdaptiveRetention);
+        let mut llc = TwoPartLlc::new(cfg);
+        // Up the ladder to its longest retention, fill LR under it, then
+        // straight back down: every line must be refreshed under the
+        // shortest deadline from the switch on.
+        llc.apply_retention_level(2, 500);
+        let mut check = traffic_under_scan(&mut llc, 3, 2_000, 40);
+        let long = llc.lr_rc.retention_ns();
+        let now = 2_000 * 900;
+        llc.apply_retention_level(0, now);
+        assert!(llc.lr_rc.retention_ns() < long);
+        assert!(llc.lr.iter().any(|l| l.is_valid()));
+        let tick = llc.maintenance_interval_ns();
+        let mut t = now.next_multiple_of(tick);
+        while t < now + 2 * long {
+            check.maintain(&mut llc, t);
+            t += tick;
+        }
+        assert!(llc.stats().refreshes > 0);
+        assert_eq!(llc.stats().lr_expirations, 0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use sttgpu_core::TwoPartStats;
 use sttgpu_device::energy::{EnergyAccount, EnergyEvent};
 use sttgpu_sim::metrics::KernelSpan;
-use sttgpu_sim::{GpuConfig, RunMetrics};
+use sttgpu_sim::{GpuConfig, RunMetrics, Workload};
 use sttgpu_stats::Histogram;
 use sttgpu_store::codec::{CodecError, Dec, Enc};
 use sttgpu_store::{Fetch, Key, StableHasher, Store, StoreError};
@@ -42,7 +42,7 @@ use crate::runner::{RunOutput, RunPlan};
 /// header. Bump it whenever simulator output semantics change in a way
 /// byte-level reproduction must not paper over: old entries become
 /// unreachable (a clean cold start) instead of silently stale.
-pub const STORE_GENERATION: u32 = 2;
+pub const STORE_GENERATION: u32 = 3;
 
 /// Version byte of the [`RunOutput`] payload layout itself, checked
 /// before any field decode. Independent of the entry-container version
@@ -63,11 +63,26 @@ fn hash_plan(h: &mut StableHasher, plan: &RunPlan) {
         .str(plan.policy.name());
 }
 
+/// A workload's full identity — its name, seed and every kernel
+/// parameter — as one content address. Two workloads that share a name
+/// but differ in seed or kernels are different runs. `KernelParams` has
+/// no compact encoding, so its `Debug` rendering is hashed, as
+/// [`config_store_key`] does for `GpuConfig`.
+pub fn workload_identity(workload: &Workload) -> Key {
+    let mut h = StableHasher::new("sttgpu-workload");
+    h.str(&workload.name)
+        .u64(workload.seed)
+        .str(&format!("{:?}", workload.kernels));
+    h.finish()
+}
+
 /// Content address of a named-configuration run — the persistent twin
 /// of the executor's in-memory memo key.
-pub fn run_store_key(choice: L2Choice, workload: &str, plan: &RunPlan) -> Key {
+pub fn run_store_key(choice: L2Choice, workload: &Workload, plan: &RunPlan) -> Key {
     let mut h = StableHasher::new("sttgpu-run");
-    h.u32(STORE_GENERATION).str(choice.label()).str(workload);
+    h.u32(STORE_GENERATION)
+        .str(choice.label())
+        .bytes(&workload_identity(workload).0);
     hash_plan(&mut h, plan);
     h.finish()
 }
@@ -78,11 +93,11 @@ pub fn run_store_key(choice: L2Choice, workload: &str, plan: &RunPlan) -> Key {
 /// config difference changes the key, and a future field addition
 /// changes the rendering — which safely *misses* and recomputes rather
 /// than serving a result for the wrong configuration.
-pub fn config_store_key(cfg: &GpuConfig, workload: &str, plan: &RunPlan) -> Key {
+pub fn config_store_key(cfg: &GpuConfig, workload: &Workload, plan: &RunPlan) -> Key {
     let mut h = StableHasher::new("sttgpu-config-run");
     h.u32(STORE_GENERATION)
         .str(&format!("{cfg:?}"))
-        .str(workload);
+        .bytes(&workload_identity(workload).0);
     hash_plan(&mut h, plan);
     h.finish()
 }
@@ -632,20 +647,39 @@ mod tests {
         assert!(err.what.contains("payload version"), "{err}");
     }
 
+    fn lud() -> Workload {
+        suite::by_name("lud").expect("lud")
+    }
+
     #[test]
     fn store_keys_separate_every_dimension() {
         let plan = tiny_plan();
-        let base = run_store_key(L2Choice::TwoPartC1, "lud", &plan);
-        assert_eq!(base, run_store_key(L2Choice::TwoPartC1, "lud", &plan));
+        let lud = lud();
+        let reseeded = Workload {
+            seed: lud.seed ^ 1,
+            ..lud.clone()
+        };
+        let mut rekerneled = lud.clone();
+        let mut kernel = (*rekerneled.kernels[0]).clone();
+        kernel.blocks += 1;
+        rekerneled.kernels[0] = std::sync::Arc::new(kernel);
+        let base = run_store_key(L2Choice::TwoPartC1, &lud, &plan);
+        assert_eq!(base, run_store_key(L2Choice::TwoPartC1, &lud, &plan));
         let variants = [
-            run_store_key(L2Choice::TwoPartC2, "lud", &plan),
-            run_store_key(L2Choice::TwoPartC1, "nw", &plan),
-            run_store_key(L2Choice::TwoPartC1, "lud", &plan.with_scale(0.06)),
-            run_store_key(L2Choice::TwoPartC1, "lud", &plan.with_check(true)),
-            run_store_key(L2Choice::TwoPartC1, "lud", &plan.with_faults(1e-4, 3)),
+            run_store_key(L2Choice::TwoPartC2, &lud, &plan),
             run_store_key(
                 L2Choice::TwoPartC1,
-                "lud",
+                &suite::by_name("nw").expect("nw"),
+                &plan,
+            ),
+            run_store_key(L2Choice::TwoPartC1, &reseeded, &plan),
+            run_store_key(L2Choice::TwoPartC1, &rekerneled, &plan),
+            run_store_key(L2Choice::TwoPartC1, &lud, &plan.with_scale(0.06)),
+            run_store_key(L2Choice::TwoPartC1, &lud, &plan.with_check(true)),
+            run_store_key(L2Choice::TwoPartC1, &lud, &plan.with_faults(1e-4, 3)),
+            run_store_key(
+                L2Choice::TwoPartC1,
+                &lud,
                 &plan.with_policy(sttgpu_core::LlcPolicy::AdaptiveWays),
             ),
         ];
@@ -658,28 +692,41 @@ mod tests {
     fn run_timeout_does_not_change_the_key() {
         let plan = tiny_plan();
         assert_eq!(
-            run_store_key(L2Choice::TwoPartC1, "lud", &plan),
-            run_store_key(L2Choice::TwoPartC1, "lud", &plan.with_run_timeout(30)),
+            run_store_key(L2Choice::TwoPartC1, &lud(), &plan),
+            run_store_key(L2Choice::TwoPartC1, &lud(), &plan.with_run_timeout(30)),
         );
     }
 
     #[test]
     fn config_keys_track_the_configuration() {
         let plan = tiny_plan();
+        let lud = lud();
         let a = config_store_key(
             &crate::configs::gpu_config(L2Choice::TwoPartC1),
-            "lud",
+            &lud,
             &plan,
         );
         let b = config_store_key(
             &crate::configs::gpu_config(L2Choice::TwoPartC2),
-            "lud",
+            &lud,
             &plan,
         );
         assert_ne!(a, b);
+        let reseeded = Workload {
+            seed: lud.seed ^ 1,
+            ..lud.clone()
+        };
+        assert_ne!(
+            a,
+            config_store_key(
+                &crate::configs::gpu_config(L2Choice::TwoPartC1),
+                &reseeded,
+                &plan,
+            )
+        );
         // Named keys and config keys live in separate namespaces even for
         // the same underlying configuration.
-        assert_ne!(a, run_store_key(L2Choice::TwoPartC1, "lud", &plan));
+        assert_ne!(a, run_store_key(L2Choice::TwoPartC1, &lud, &plan));
     }
 
     #[test]
@@ -688,7 +735,7 @@ mod tests {
         let store = ResultStore::open(&dir).expect("open");
         let w = suite::by_name("lud").expect("lud");
         let plan = tiny_plan();
-        let key = run_store_key(L2Choice::SramBaseline, "lud", &plan);
+        let key = run_store_key(L2Choice::SramBaseline, &w, &plan);
         assert!(store.load(&key).is_none(), "cold store must miss");
         let out = run(L2Choice::SramBaseline, &w, &plan);
         store.save(&key, &out);
@@ -715,7 +762,7 @@ mod tests {
         let store = ResultStore::open(&dir).expect("open");
         let w = suite::by_name("lud").expect("lud");
         let plan = tiny_plan();
-        let key = run_store_key(L2Choice::SramBaseline, "lud", &plan);
+        let key = run_store_key(L2Choice::SramBaseline, &w, &plan);
         store.save(&key, &run(L2Choice::SramBaseline, &w, &plan));
         // Flip one payload byte on disk, past the header.
         let path = dir.join("objects").join(format!("{}.ent", key.hex()));

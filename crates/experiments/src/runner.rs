@@ -397,15 +397,27 @@ pub fn run(choice: L2Choice, workload: &Workload, plan: &RunPlan) -> RunOutput {
     run_config(gpu_config(choice), workload, plan)
 }
 
-/// Memoization key of one named-configuration run. `RunPlan` holds `f64`
-/// scale/rate fields, so the key stores their bit patterns (plans are
-/// constructed, not computed, so bit equality is the right notion here).
-type RunKey = (L2Choice, String, u64, u64, bool, u64, u64, &'static str);
+/// Memoization key of one named-configuration run: the configuration,
+/// the workload's full identity (name, seed and kernels, see
+/// [`workload_identity`](crate::persist::workload_identity)) and the plan.
+/// `RunPlan` holds `f64` scale/rate fields, so the key stores their bit
+/// patterns (plans are constructed, not computed, so bit equality is the
+/// right notion here).
+type RunKey = (
+    L2Choice,
+    sttgpu_store::Key,
+    u64,
+    u64,
+    bool,
+    u64,
+    u64,
+    &'static str,
+);
 
 fn run_key(choice: L2Choice, workload: &Workload, plan: &RunPlan) -> RunKey {
     (
         choice,
-        workload.name.clone(),
+        crate::persist::workload_identity(workload),
         plan.scale.to_bits(),
         plan.max_cycles,
         plan.check,
@@ -645,7 +657,7 @@ impl Executor {
         let out = Arc::clone(cell.get_or_init(|| {
             fresh = true;
             if let Some(store) = &self.store {
-                let key = crate::persist::run_store_key(choice, &workload.name, plan);
+                let key = crate::persist::run_store_key(choice, workload, plan);
                 if let Some(loaded) = store.load(&key) {
                     let out = Arc::new(loaded);
                     self.record_loaded(&out);
@@ -681,7 +693,7 @@ impl Executor {
         plan: &RunPlan,
     ) -> Arc<RunOutput> {
         if let Some(store) = &self.store {
-            let key = crate::persist::config_store_key(&cfg, &workload.name, plan);
+            let key = crate::persist::config_store_key(&cfg, workload, plan);
             if let Some(loaded) = store.load(&key) {
                 let out = Arc::new(loaded);
                 self.record_loaded(&out);
@@ -913,6 +925,58 @@ mod tests {
         assert_eq!(a.write_matrix, b.write_matrix);
         assert_eq!(ac.metrics, bc.metrics);
         assert_eq!(ac.two_part, bc.two_part);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two workloads that share a name but not a seed are two runs, in
+    /// memory and in the store: neither may be served the other's result.
+    #[test]
+    fn same_name_different_seed_workloads_are_separate_runs() {
+        let dir = std::env::temp_dir().join(format!(
+            "sttgpu-exec-seed-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(crate::persist::ResultStore::open(&dir).expect("open store"));
+        let a = suite::by_name("lud").expect("lud");
+        let b = Workload {
+            seed: a.seed ^ 0x5EED,
+            ..a.clone()
+        };
+        let plan = tiny_plan();
+
+        let exec = Executor::new(1);
+        let ra = exec.run(L2Choice::TwoPartC1, &a, &plan);
+        let rb = exec.run(L2Choice::TwoPartC1, &b, &plan);
+        assert_eq!(exec.stats().runs_executed, 2, "memo served a reseeded run");
+        assert_ne!(ra.metrics, rb.metrics, "the seeds must give different runs");
+
+        let mut stored = Executor::new(1);
+        stored.set_store(Arc::clone(&store));
+        let sa = stored.run(L2Choice::TwoPartC1, &a, &plan);
+        let mut fresh = Executor::new(1);
+        fresh.set_store(Arc::clone(&store));
+        let sb = fresh.run(L2Choice::TwoPartC1, &b, &plan);
+        assert_eq!(
+            (fresh.stats().runs_executed, fresh.stats().store_hits),
+            (1, 0),
+            "store served a reseeded run"
+        );
+        assert_eq!(sa.metrics, ra.metrics);
+        assert_eq!(sb.metrics, rb.metrics);
+
+        let mut ca = Executor::new(1);
+        ca.set_store(Arc::clone(&store));
+        let cfg = gpu_config(L2Choice::TwoPartC1);
+        let xa = ca.run_config(cfg.clone(), &a, &plan);
+        let xb = ca.run_config(cfg, &b, &plan);
+        assert_eq!(
+            ca.stats().store_hits,
+            0,
+            "config store served a reseeded run"
+        );
+        assert_ne!(xa.metrics, xb.metrics);
         std::fs::remove_dir_all(&dir).ok();
     }
 
