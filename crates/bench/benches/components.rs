@@ -1,5 +1,5 @@
 //! Component microbenchmarks: the hot paths of the cache substrate, the
-//! two-part LLC and the warp-program generator.
+//! two-part LLC, the warp-program generator and an SM's issue loop.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -7,8 +7,11 @@ use sttgpu_bench::harness::Criterion;
 use sttgpu_bench::{criterion_group, criterion_main};
 use sttgpu_cache::{AccessKind, BankArbiter, MshrTable, ReplacementPolicy, SetAssocCache};
 use sttgpu_core::{LlcModel, TwoPartConfig, TwoPartLlc};
-use sttgpu_sim::program::WarpProgram;
-use sttgpu_sim::KernelParams;
+use sttgpu_sim::config::LineSize;
+use sttgpu_sim::mem::MemSystem;
+use sttgpu_sim::program::{StreamShape, WarpProgram};
+use sttgpu_sim::sm::Sm;
+use sttgpu_sim::{GpuConfig, KernelParams};
 
 fn bench_cache(c: &mut Criterion) {
     c.bench_function("components/setassoc_lookup_hit", |b| {
@@ -96,15 +99,65 @@ fn bench_two_part(c: &mut Criterion) {
 
 fn bench_program(c: &mut Criterion) {
     c.bench_function("components/warp_program_next_instr", |b| {
-        let k = Arc::new(
-            KernelParams::new("bench", 64, 256)
-                .with_instructions(u32::MAX / 2)
-                .with_mem_fraction(0.3),
-        );
-        let mut p = WarpProgram::new(k, 0, 0, 42, 128);
-        b.iter(|| black_box(p.next_instr()))
+        let k = KernelParams::new("bench", 64, 256)
+            .with_instructions(u32::MAX / 2)
+            .with_mem_fraction(0.3);
+        let shape = Arc::new(StreamShape::new(&k, LineSize::new(128)));
+        let mut p = WarpProgram::new(shape, 0, 0, 42);
+        let mut addrs = Vec::new();
+        b.iter(|| black_box(p.next_into(&mut addrs)))
     });
 }
 
-criterion_group!(benches, bench_cache, bench_two_part, bench_program);
+/// One simulated cycle of a single GTX480 SM per iteration, driven the
+/// way `Gpu` drives it: refill free warp contexts with blocks, tick the
+/// memory system, deliver fills, step.
+fn bench_sm(c: &mut Criterion) {
+    let alu = KernelParams::new("alu", 1_000, 256)
+        .with_instructions(4_000)
+        .with_mem_fraction(0.0);
+    let mem_heavy = KernelParams::new("mem", 1_000, 256)
+        .with_instructions(4_000)
+        .with_mem_fraction(0.4)
+        .with_write_fraction(0.2)
+        .with_footprint_kb(512);
+    for (name, kernel) in [
+        ("components/sm_step_alu", alu),
+        ("components/sm_step_mem", mem_heavy),
+    ] {
+        let mut cfg = GpuConfig::gtx480();
+        cfg.num_sms = 1;
+        let line = LineSize::new(cfg.l1.line_bytes as u64);
+        let shape = Arc::new(StreamShape::new(&kernel, line));
+        c.bench_function(name, |b| {
+            let mut sm = Sm::new(&cfg, 0);
+            let mut mem = MemSystem::new(&cfg);
+            let mut fills = Vec::new();
+            let (mut cycle, mut block) = (0u64, 0u32);
+            let warps_per_block = kernel.warps_per_block() as usize;
+            b.iter(|| {
+                while sm.free_warp_slots() >= warps_per_block {
+                    sm.launch_block(&shape, block % kernel.blocks, 7, cycle);
+                    block += 1;
+                }
+                let now_ns = cfg.ns_of_cycle(cycle);
+                mem.tick(now_ns, &mut fills);
+                for fill in &fills {
+                    sm.deliver_fill(fill.byte_addr, now_ns, &mut mem);
+                }
+                let out = sm.step(cycle, now_ns, &mut mem);
+                cycle += 1;
+                out.blocks_retired
+            })
+        });
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_cache,
+    bench_two_part,
+    bench_program,
+    bench_sm
+);
 criterion_main!(benches);

@@ -4,6 +4,48 @@ use sttgpu_core::{AnyLlc, SingleLlc, TwoPartConfig, TwoPartLlc};
 use sttgpu_device::cell::MemTechnology;
 use sttgpu_device::mtj::RetentionTime;
 
+/// A power-of-two cache line size fixed at construction: lines divide,
+/// multiply and align with shifts and masks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineSize {
+    /// `log2` of the line size in bytes.
+    shift: u32,
+}
+
+impl LineSize {
+    /// A line of `bytes` bytes; panics unless `bytes` is a power of two,
+    /// as the set-associative caches built on it require.
+    pub fn new(bytes: u64) -> Self {
+        assert!(bytes.is_power_of_two(), "line size must be a power of two");
+        LineSize {
+            shift: bytes.trailing_zeros(),
+        }
+    }
+
+    /// The line size, bytes.
+    pub fn bytes(self) -> u64 {
+        1 << self.shift
+    }
+
+    /// Index of the line holding `byte_addr` (`byte_addr / bytes`).
+    #[inline]
+    pub fn line_of(self, byte_addr: u64) -> u64 {
+        byte_addr >> self.shift
+    }
+
+    /// Byte offset of `lines` whole lines (`lines * bytes`).
+    #[inline]
+    pub fn bytes_of(self, lines: u64) -> u64 {
+        lines << self.shift
+    }
+
+    /// `byte_addr` rounded down to its line's first byte.
+    #[inline]
+    pub fn align(self, byte_addr: u64) -> u64 {
+        byte_addr & !(self.bytes() - 1)
+    }
+}
+
 /// L1 data cache configuration (per SM).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L1Config {

@@ -5,11 +5,12 @@ use std::sync::Arc;
 use sttgpu_core::LlcModel;
 use sttgpu_trace::Trace;
 
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, LineSize};
 use crate::kernel::{GridDispatcher, KernelParams, Workload};
 use crate::mem::MemSystem;
 use crate::metrics::{KernelSpan, RunMetrics};
 use crate::occupancy::Occupancy;
+use crate::program::StreamShape;
 use crate::sm::Sm;
 
 /// Default seed used by [`Gpu::run`]; use [`Gpu::run_workload`] for
@@ -156,6 +157,10 @@ impl Gpu {
                 continue;
             }
             let kernel_seed = seed.wrapping_add(1 + k_idx as u64 * 0x10_0001);
+            let shape = Arc::new(StreamShape::new(
+                kernel,
+                LineSize::new(self.cfg.l1.line_bytes as u64),
+            ));
             let mut dispatcher = GridDispatcher::new(Arc::clone(kernel));
             dispatcher.set_trace(self.trace.clone());
             let warps_per_block = kernel.warps_per_block() as usize;
@@ -179,7 +184,7 @@ impl Gpu {
                                 match dispatcher.next_block() {
                                     Some(block_id) => {
                                         let launched = sm.launch_block(
-                                            kernel,
+                                            &shape,
                                             block_id,
                                             kernel_seed,
                                             self.cycle,

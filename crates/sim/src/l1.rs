@@ -8,7 +8,7 @@
 use sttgpu_cache::{AccessKind, MshrOutcome, MshrTable, ReplacementPolicy, SetAssocCache};
 use sttgpu_trace::Trace;
 
-use crate::config::L1Config;
+use crate::config::{L1Config, LineSize};
 
 /// Outcome of a read access to the L1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +42,7 @@ pub enum L1ReadOutcome {
 pub struct L1Cache {
     cache: SetAssocCache<()>,
     mshr: MshrTable,
-    line_bytes: u32,
+    line: LineSize,
     write_evictions: u64,
 }
 
@@ -59,14 +59,14 @@ impl L1Cache {
                 ReplacementPolicy::Lru,
             ),
             mshr: MshrTable::new(cfg.mshr_entries, cfg.mshr_targets),
-            line_bytes: cfg.line_bytes,
+            line: LineSize::new(cfg.line_bytes as u64),
             write_evictions: 0,
         }
     }
 
     /// L1 line size, bytes.
     pub fn line_bytes(&self) -> u32 {
-        self.line_bytes
+        self.line.bytes() as u32
     }
 
     /// Attaches a trace sink to this L1's MSHR table; `space` names the
@@ -77,7 +77,7 @@ impl L1Cache {
 
     /// Line-granular address of a byte address.
     pub fn line_addr(&self, byte_addr: u64) -> u64 {
-        byte_addr / self.line_bytes as u64
+        self.line.line_of(byte_addr)
     }
 
     /// Issues a read for `byte_addr` on behalf of `warp_token`.
@@ -124,7 +124,7 @@ impl L1Cache {
     fn victim_of(&self, victim: Option<sttgpu_cache::Evicted<()>>) -> Option<u64> {
         victim
             .filter(|v| v.dirty)
-            .map(|v| v.line_addr * self.line_bytes as u64)
+            .map(|v| self.line.bytes_of(v.line_addr))
     }
 
     /// Completes an in-flight fill: installs the line (clean) and returns

@@ -61,6 +61,7 @@ pub mod mem;
 pub mod metrics;
 pub mod occupancy;
 pub mod program;
+mod ready;
 pub mod sm;
 pub mod warp;
 

@@ -14,7 +14,7 @@ use sttgpu_core::{AnyLlc, LlcModel};
 use sttgpu_trace::{Trace, TraceEvent};
 use sttgpu_tracefile::TraceRecord;
 
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, LineSize};
 use crate::icnt::Icnt;
 
 /// A timed memory-system event.
@@ -60,7 +60,7 @@ pub struct MemSystem {
     /// currently latched at controller `mc`, or `u64::MAX` when closed.
     open_rows: Box<[u64]>,
     dram_service_ns: u64,
-    l2_line_bytes: u64,
+    l2_line: LineSize,
     next_maintain_ns: u64,
     maintain_interval_ns: u64,
     /// When recording, the verbatim LLC call stream (probes at icnt
@@ -99,7 +99,7 @@ impl MemSystem {
             dram_lines_per_row: (cfg.dram.row_bytes / cfg.l2_line_bytes as u64).max(1),
             open_rows: vec![u64::MAX; cfg.dram.controllers as usize].into_boxed_slice(),
             dram_service_ns: cfg.dram.service_ns,
-            l2_line_bytes: cfg.l2_line_bytes as u64,
+            l2_line: LineSize::new(cfg.l2_line_bytes as u64),
             next_maintain_ns: maintain_interval_ns,
             maintain_interval_ns,
             call_log: None,
@@ -146,7 +146,7 @@ impl MemSystem {
     }
 
     fn l2_line_of(&self, byte_addr: u64) -> u64 {
-        byte_addr / self.l2_line_bytes
+        self.l2_line.line_of(byte_addr)
     }
 
     /// Charges DRAM bandwidth for `count` write-backs.
@@ -301,7 +301,7 @@ impl MemSystem {
             self.events.pop();
             match kind {
                 EventKind::DramData { l2_line } => {
-                    let byte_addr = l2_line * self.l2_line_bytes;
+                    let byte_addr = self.l2_line.bytes_of(l2_line);
                     let pending = match self.l2_pending.remove(&l2_line) {
                         Some(p) => {
                             self.trace.emit(|| TraceEvent::MshrComplete {

@@ -8,15 +8,13 @@
 
 use std::sync::Arc;
 
-use std::collections::VecDeque;
-
 use sttgpu_trace::{Trace, TraceEvent};
 
 use crate::config::{GpuConfig, WarpScheduler};
-use crate::kernel::KernelParams;
 use crate::l1::{L1Cache, L1ReadOutcome};
 use crate::mem::MemSystem;
-use crate::program::{WarpInstr, WarpProgram};
+use crate::program::{InstrKind, StreamShape, WarpProgram};
+use crate::ready::{ReadyEntry, ReadyRing};
 use crate::warp::Warp;
 
 /// Replay delay after an MSHR-full stall, cycles.
@@ -31,31 +29,26 @@ pub struct StepOutcome {
     pub next_wake: u64,
 }
 
-/// One ready-queue entry. `ready_at` and `age` are copied out of the warp
-/// at enqueue time — both are immutable while the warp sits in the queue —
-/// so scheduler scans stay inside the deque's contiguous storage instead
-/// of chasing `warps[slot]` for every element.
-#[derive(Debug, Clone, Copy)]
-struct ReadyEntry {
-    slot: u32,
-    ready_at: u64,
-    age: u64,
-}
-
 /// One streaming multiprocessor.
 #[derive(Debug)]
 pub struct Sm {
     id: u32,
     warps: Vec<Option<Warp>>,
-    ready: VecDeque<ReadyEntry>,
-    /// Exact earliest `ready_at` over all queued warps (`u64::MAX` when
-    /// none is queued). Maintained incrementally: enqueues lower it in
-    /// O(1); [`cycle`](Sm::cycle) recomputes it once per call with a
-    /// single scan of `ready` after its dequeues — never per issue slot,
-    /// and never from the gate-side reader.
+    ready: ReadyRing,
+    /// Lower bound on the earliest `ready_at` over all queued warps
+    /// (`u64::MAX` when none is queued). Enqueues lower it in O(1); an
+    /// issue pass that runs out of ready warps sets it exactly from the
+    /// failed pop's scan — never per issue slot, and never from the
+    /// gate-side reader.
     next_ready: u64,
     /// Live warps per resident block slot (0 = slot free).
     blocks: Vec<u32>,
+    /// Decode buffer: the line addresses of the instruction being issued.
+    addrs: Vec<u64>,
+    /// Per-warp-slot addresses of a load waiting to replay (valid while
+    /// the slot's warp has `replay` set). A stall swaps the decode buffer
+    /// in, a replay swaps it back out: no addresses are copied.
+    replay_addrs: Vec<Vec<u64>>,
     /// Live warp count (cached; `warps` holds exactly this many `Some`s).
     warps_live: u32,
     /// Live block count (cached; `blocks` holds this many nonzero slots).
@@ -81,6 +74,10 @@ pub struct Sm {
     pub idle_cycles: u64,
     /// Instruction replays due to full L1 MSHRs.
     pub mshr_stalls: u64,
+    /// Every issue attempt, for tests: (warp slot, kind, line addresses,
+    /// whether the attempt stalled on a full MSHR table).
+    #[cfg(test)]
+    issue_log: Vec<(usize, InstrKind, Vec<u64>, bool)>,
 }
 
 impl Sm {
@@ -89,9 +86,11 @@ impl Sm {
         Sm {
             id,
             warps: (0..cfg.max_warps_per_sm).map(|_| None).collect(),
-            ready: VecDeque::new(),
+            ready: ReadyRing::with_capacity(cfg.max_warps_per_sm as usize),
             next_ready: u64::MAX,
             blocks: Vec::new(),
+            addrs: Vec::new(),
+            replay_addrs: vec![Vec::new(); cfg.max_warps_per_sm as usize],
             warps_live: 0,
             blocks_live: 0,
             l1: L1Cache::new(&cfg.l1),
@@ -107,6 +106,8 @@ impl Sm {
             instructions: 0,
             idle_cycles: 0,
             mshr_stalls: 0,
+            #[cfg(test)]
+            issue_log: Vec::new(),
         }
     }
 
@@ -153,16 +154,16 @@ impl Sm {
         self.l1.invalidate_all();
     }
 
-    /// Launches one thread block; returns `false` when warp contexts are
-    /// insufficient.
+    /// Launches one thread block of the kernel whose streams `shape`
+    /// describes; returns `false` when warp contexts are insufficient.
     pub fn launch_block(
         &mut self,
-        kernel: &Arc<KernelParams>,
+        shape: &Arc<StreamShape>,
         block_id: u32,
         seed: u64,
         cycle: u64,
     ) -> bool {
-        let needed = kernel.warps_per_block() as usize;
+        let needed = shape.warps_per_block() as usize;
         if self.free_warp_slots() < needed {
             return false;
         }
@@ -184,13 +185,7 @@ impl Sm {
                 break;
             }
             if self.warps[slot].is_none() {
-                let program = WarpProgram::new(
-                    Arc::clone(kernel),
-                    block_id,
-                    placed,
-                    seed,
-                    self.l1.line_bytes(),
-                );
+                let program = WarpProgram::new(Arc::clone(shape), block_id, placed, seed);
                 let mut warp = Warp::new(program, block_slot);
                 warp.age = self.age_counter;
                 self.age_counter += 1;
@@ -198,7 +193,7 @@ impl Sm {
                 warp.queued = true;
                 self.warps[slot] = Some(warp);
                 self.warps_live += 1;
-                self.enqueue(slot);
+                self.enqueue(slot, cycle);
                 placed += 1;
             }
         }
@@ -229,12 +224,11 @@ impl Sm {
         }
     }
 
-    /// Queues `slot`'s (live, `queued`) warp for issue and records its
-    /// `ready_at` in the wake heap. The greedy warp parks outside `ready`
-    /// so GTO's fast path need not scan the deque for it.
-    fn enqueue(&mut self, slot: usize) {
-        let warp = self.warps[slot].as_ref().expect("enqueueing a live warp");
-        let (ready_at, age) = (warp.ready_at, warp.age);
+    /// Queues `slot`'s (live, `queued`) warp, whose `ready_at` is
+    /// `ready_at`, for issue and folds it into `next_ready`. The greedy
+    /// warp parks outside `ready` so GTO's fast path need not scan the
+    /// queue for it.
+    fn enqueue(&mut self, slot: usize, ready_at: u64) {
         self.next_ready = self.next_ready.min(ready_at);
         if self.greedy == Some(slot) {
             self.greedy_parked = true;
@@ -242,7 +236,6 @@ impl Sm {
             self.ready.push_back(ReadyEntry {
                 slot: slot as u32,
                 ready_at,
-                age,
             });
         }
     }
@@ -252,23 +245,6 @@ impl Sm {
     /// memory). O(1): reads the incrementally maintained minimum.
     pub fn next_ready_cycle(&self) -> Option<u64> {
         (self.next_ready != u64::MAX).then_some(self.next_ready)
-    }
-
-    /// Recomputes [`next_ready`](Sm::next_ready) from scratch: the queued
-    /// set is exactly `ready`'s entries plus the parked greedy warp, and
-    /// entry `ready_at`s are authoritative while a warp is queued.
-    fn recompute_next_ready(&mut self) {
-        let (a, b) = self.ready.as_slices();
-        let mut min = u64::MAX;
-        for e in a.iter().chain(b.iter()) {
-            min = min.min(e.ready_at);
-        }
-        if self.greedy_parked {
-            let g = self.greedy.expect("parked implies a greedy slot");
-            let w = self.warps[g].as_ref().expect("parked warp is live");
-            min = min.min(w.ready_at);
-        }
-        self.next_ready = min;
     }
 
     /// Records `n` cycles in which this SM had live warps but could not
@@ -283,13 +259,15 @@ impl Sm {
     /// Runs this SM for one cycle: gates on its earliest queued warp and
     /// issues, sending every L2 read and write to `mem` as it goes.
     /// Fills due this cycle must already have been delivered.
+    #[inline]
     pub fn step(&mut self, cycle: u64, now_ns: u64, mem: &mut MemSystem) -> StepOutcome {
-        let blocks_retired = match self.next_ready_cycle() {
-            Some(ready) if ready <= cycle => self.issue_cycle(cycle, now_ns, mem),
-            _ => {
-                self.count_idle(1);
-                0
-            }
+        // `next_ready` is `u64::MAX` when nothing is queued, which no
+        // cycle reaches.
+        let blocks_retired = if self.next_ready <= cycle {
+            self.issue_cycle(cycle, now_ns, mem)
+        } else {
+            self.count_idle(1);
+            0
         };
         StepOutcome {
             blocks_retired,
@@ -321,23 +299,19 @@ impl Sm {
                 }
             } else if warp.pending_loads < self.max_pending && !warp.stream_done() {
                 warp.queued = true;
-                self.enqueue(slot);
+                let ready_at = warp.ready_at;
+                self.enqueue(slot, ready_at);
             }
         }
         blocks_retired
     }
 
-    /// Executes one instruction's memory reads. Returns `(misses_issued,
-    /// true)` on success or `(partial, false)` on an MSHR-full abort.
-    fn issue_reads(
-        &mut self,
-        slot: usize,
-        addrs: &[u64],
-        now_ns: u64,
-        mem: &mut MemSystem,
-    ) -> (u32, bool) {
+    /// Executes the decoded load's reads for `slot`'s warp. Returns
+    /// `(misses_issued, true)` on success or `(partial, false)` on an
+    /// MSHR-full abort.
+    fn issue_reads(&mut self, slot: usize, now_ns: u64, mem: &mut MemSystem) -> (u32, bool) {
         let mut misses = 0;
-        for &addr in addrs {
+        for &addr in &self.addrs {
             match self.l1.read(addr, slot as u64, now_ns) {
                 L1ReadOutcome::Hit => {}
                 L1ReadOutcome::MissIssued => {
@@ -356,64 +330,55 @@ impl Sm {
     }
 
     /// Removes and returns the next issuable warp slot per the scheduling
-    /// policy, or `None` if no queued warp can issue this cycle.
-    fn pop_issuable(&mut self, cycle: u64) -> Option<usize> {
+    /// policy. When no queued warp can issue this cycle, returns the
+    /// earliest `ready_at` over the queued set — `ready`'s entries plus
+    /// the parked greedy warp, whose `ready_at`s are authoritative while
+    /// queued.
+    fn pop_issuable(&mut self, cycle: u64) -> Result<usize, u64> {
         match self.scheduler {
+            // The first issuable warp in rotation order wins and the
+            // not-ready prefix rotates to the back.
             WarpScheduler::LooseRoundRobin => {
-                // The first issuable warp in rotation order wins and the
-                // not-ready prefix rotates to the back — exactly what a
-                // pop/check/push-back loop does, but as one contiguous
-                // scan plus one bulk rotate.
-                let (a, b) = self.ready.as_slices();
-                let pos = match a.iter().position(|e| e.ready_at <= cycle) {
-                    Some(i) => Some(i),
-                    None => b
-                        .iter()
-                        .position(|e| e.ready_at <= cycle)
-                        .map(|i| a.len() + i),
-                };
-                let pos = pos?;
-                self.ready.rotate_left(pos);
-                let entry = self.ready.pop_front().expect("found above");
-                Some(entry.slot as usize)
+                self.ready.pop_first_ready(cycle).map(|e| e.slot as usize)
             }
             WarpScheduler::GreedyThenOldest => {
                 // Stick with the greedy warp while it can issue. It parks
                 // outside `ready` (see `enqueue`), so this is O(1) rather
-                // than a position scan of the deque.
+                // than a scan of the queue.
+                let mut parked_at = u64::MAX;
                 if self.greedy_parked {
                     let g = self.greedy.expect("parked implies a greedy slot");
-                    let ready = self.warps[g].as_ref().is_some_and(|w| w.ready_at <= cycle);
-                    if ready {
+                    let w = self.warps[g].as_ref().expect("parked warp is live");
+                    if w.ready_at <= cycle {
                         self.greedy_parked = false;
-                        return Some(g);
+                        return Ok(g);
                     }
+                    parked_at = w.ready_at;
                 }
-                // ...otherwise the oldest ready warp becomes greedy. Ages
-                // are unique, so the minimum is order-independent and the
-                // O(1) swap_remove_back cannot change the schedule.
-                let best = self
+                // ...otherwise the oldest ready warp becomes greedy.
+                let warps = &self.warps;
+                let age_of = |slot: u32| {
+                    warps[slot as usize]
+                        .as_ref()
+                        .expect("queued warp is live")
+                        .age
+                };
+                let entry = self
                     .ready
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.ready_at <= cycle)
-                    .min_by_key(|(_, e)| e.age)
-                    .map(|(idx, _)| idx)?;
-                let entry = self.ready.swap_remove_back(best).expect("index valid");
+                    .pop_oldest_ready(cycle, age_of)
+                    .map_err(|min| min.min(parked_at))?;
                 if self.greedy_parked {
                     // The stalled ex-greedy warp rejoins the rotation.
                     let g = self.greedy.expect("parked implies a greedy slot");
                     let w = self.warps[g].as_ref().expect("parked warp is live");
-                    let (ready_at, age) = (w.ready_at, w.age);
                     self.ready.push_back(ReadyEntry {
                         slot: g as u32,
-                        ready_at,
-                        age,
+                        ready_at: w.ready_at,
                     });
                     self.greedy_parked = false;
                 }
                 self.greedy = Some(entry.slot as usize);
-                Some(entry.slot as usize)
+                Ok(entry.slot as usize)
             }
         }
     }
@@ -423,16 +388,34 @@ impl Sm {
         let mut blocks_retired = 0;
         let mut issued = 0u32;
         let mut issued_any = false;
-        let mut exhausted = false;
 
         while issued < self.issue_width {
-            let Some(slot) = self.pop_issuable(cycle) else {
-                exhausted = true;
-                break;
+            let slot = match self.pop_issuable(cycle) {
+                Ok(slot) => slot,
+                Err(earliest) => {
+                    // `next_ready` is a lower bound (pops only raise the
+                    // true minimum; enqueues fold in via `min`). A
+                    // stale-low bound merely costs one futile `step` whose
+                    // idle accounting matches `count_idle`, so the exact
+                    // value — a by-product of the failed pop's scan — is
+                    // only restored when the queue proved empty of
+                    // issuable warps, which is precisely when the driver
+                    // needs it to compute a skip.
+                    self.next_ready = earliest;
+                    break;
+                }
             };
             let warp = self.warps[slot].as_mut().expect("queued warp is live");
 
-            let Some(instr) = warp.take_instr() else {
+            // A pending replay first (always a load; its addresses swap
+            // into the decode buffer), otherwise the next instruction.
+            let kind = if warp.replay {
+                warp.replay = false;
+                std::mem::swap(&mut self.addrs, &mut self.replay_addrs[slot]);
+                InstrKind::MemRead
+            } else if let Some(kind) = warp.program.next_into(&mut self.addrs) {
+                kind
+            } else {
                 // Stream exhausted: retire or wait for loads to drain.
                 warp.queued = false;
                 if warp.can_retire() && self.retire_warp(slot) {
@@ -443,54 +426,44 @@ impl Sm {
 
             issued += 1;
             issued_any = true;
-            match instr {
-                WarpInstr::Alu => {
-                    self.instructions += self.warp_size as u64;
-                    let dep = self.dep_interval;
-                    let warp = self.warps[slot].as_mut().expect("live");
-                    warp.ready_at = cycle + dep;
-                    self.enqueue(slot);
-                }
-                WarpInstr::MemWrite(addrs) => {
-                    for &addr in &addrs {
+            #[cfg(test)]
+            self.issue_log.push((slot, kind, self.addrs.clone(), false));
+            match kind {
+                InstrKind::Alu => {}
+                InstrKind::MemWrite => {
+                    for &addr in &self.addrs {
                         self.l1.write(addr, now_ns);
                         mem.write_request(self.id, addr, now_ns);
                     }
-                    self.instructions += self.warp_size as u64;
-                    let dep = self.dep_interval;
-                    let warp = self.warps[slot].as_mut().expect("live");
-                    warp.ready_at = cycle + dep;
-                    self.enqueue(slot);
                 }
-                WarpInstr::LocalWrite(addrs) => {
+                InstrKind::LocalWrite => {
                     // Write-back/write-allocate (paper Fig. 1-b): the write
                     // stays in L1; only displaced dirty lines reach L2.
-                    for &addr in &addrs {
+                    for &addr in &self.addrs {
                         if let Some(victim) = self.l1.write_local(addr, now_ns) {
                             mem.write_request(self.id, victim, now_ns);
                         }
                     }
-                    self.instructions += self.warp_size as u64;
-                    let dep = self.dep_interval;
-                    let warp = self.warps[slot].as_mut().expect("live");
-                    warp.ready_at = cycle + dep;
-                    self.enqueue(slot);
                 }
-                WarpInstr::MemRead(addrs) | WarpInstr::LocalRead(addrs) => {
-                    let (misses, ok) = self.issue_reads(slot, &addrs, now_ns, mem);
-                    let max_pending = self.max_pending;
+                InstrKind::MemRead | InstrKind::LocalRead => {
+                    let (misses, ok) = self.issue_reads(slot, now_ns, mem);
                     let warp = self.warps[slot].as_mut().expect("live");
                     warp.pending_loads += misses;
                     if !ok {
                         // MSHR full: replay the whole instruction later.
                         self.mshr_stalls += 1;
-                        warp.replay = Some(WarpInstr::MemRead(addrs));
+                        #[cfg(test)]
+                        {
+                            self.issue_log.last_mut().expect("logged above").3 = true;
+                        }
+                        warp.replay = true;
+                        std::mem::swap(&mut self.addrs, &mut self.replay_addrs[slot]);
                         warp.ready_at = cycle + MSHR_RETRY_CYCLES;
-                        self.enqueue(slot);
+                        self.enqueue(slot, cycle + MSHR_RETRY_CYCLES);
                         continue;
                     }
                     self.instructions += self.warp_size as u64;
-                    if warp.pending_loads >= max_pending {
+                    if warp.pending_loads >= self.max_pending {
                         // Stalled: wakes via deliver_fill.
                         warp.queued = false;
                     } else if warp.stream_done() {
@@ -500,20 +473,16 @@ impl Sm {
                         }
                     } else {
                         warp.ready_at = cycle + self.dep_interval;
-                        self.enqueue(slot);
+                        self.enqueue(slot, cycle + self.dep_interval);
                     }
+                    continue;
                 }
             }
-        }
-
-        // `next_ready` is a lower bound (pops only raise the true minimum;
-        // enqueues fold in via `min`). A stale-low bound merely costs one
-        // futile `cycle` call whose idle accounting matches `count_idle`,
-        // so the exact value is only restored — with one scan — when the
-        // queue proved empty of issuable warps, which is precisely when
-        // the driver needs it to compute a skip.
-        if exhausted {
-            self.recompute_next_ready();
+            // ALU ops and stores never stall the warp.
+            self.instructions += self.warp_size as u64;
+            let warp = self.warps[slot].as_mut().expect("live");
+            warp.ready_at = cycle + self.dep_interval;
+            self.enqueue(slot, cycle + self.dep_interval);
         }
 
         if !issued_any && !self.is_idle() {
@@ -526,17 +495,19 @@ impl Sm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GpuConfig, L2ModelConfig};
+    use crate::config::{GpuConfig, L2ModelConfig, LineSize};
+    use crate::kernel::KernelParams;
     use sttgpu_core::LlcModel;
 
-    fn setup(kernel: KernelParams) -> (Sm, MemSystem, Arc<KernelParams>) {
+    fn setup(kernel: KernelParams) -> (Sm, MemSystem, Arc<StreamShape>) {
         let mut cfg = GpuConfig::gtx480();
         cfg.l2 = L2ModelConfig::Sram {
             kb: 64,
             ways: 8,
             banks: 2,
         };
-        (Sm::new(&cfg, 0), MemSystem::new(&cfg), Arc::new(kernel))
+        let shape = StreamShape::new(&kernel, LineSize::new(cfg.l1.line_bytes as u64));
+        (Sm::new(&cfg, 0), MemSystem::new(&cfg), Arc::new(shape))
     }
 
     /// Runs the SM until idle, delivering memory responses the way the
@@ -635,5 +606,64 @@ mod tests {
         sm.launch_block(&k, 0, 3, 0);
         run_to_completion(&mut sm, &mut mem, 2_000_000);
         assert!(sm.idle_cycles > 0, "a single warp cannot hide DRAM latency");
+    }
+
+    /// A stalled load replays its own addresses, in order, before its
+    /// warp issues anything else from its stream; the stream itself is
+    /// issued exactly as the warp's program generates it.
+    #[test]
+    fn stalled_loads_replay_before_the_stream_moves_on() {
+        let mut cfg = GpuConfig::gtx480();
+        cfg.l2 = L2ModelConfig::Sram {
+            kb: 64,
+            ways: 8,
+            banks: 2,
+        };
+        // MSHRs squeezed so most loads bounce off a full table.
+        cfg.l1.mshr_entries = 2;
+        cfg.l1.mshr_targets = 2;
+        cfg.max_pending_loads = 2;
+        let k = KernelParams::new("thrash", 2, 128)
+            .with_instructions(150)
+            .with_mem_fraction(0.6)
+            .with_footprint_kb(4_096)
+            .with_local_fraction(0.3)
+            .with_coalescing(4.0);
+        let shape = Arc::new(StreamShape::new(
+            &k,
+            LineSize::new(cfg.l1.line_bytes as u64),
+        ));
+        let (mut sm, mut mem) = (Sm::new(&cfg, 0), MemSystem::new(&cfg));
+        let seed = 0x3511;
+        assert!(sm.launch_block(&shape, 0, seed, 0));
+        assert!(sm.launch_block(&shape, 1, seed, 0));
+        run_to_completion(&mut sm, &mut mem, 10_000_000);
+        assert!(sm.mshr_stalls > 0, "the squeezed MSHRs must stall loads");
+
+        let is_load = |kind| matches!(kind, InstrKind::MemRead | InstrKind::LocalRead);
+        let mut stalls = 0;
+        // Both blocks' warps land in slots 0..8 in launch order.
+        for slot in 0..8 {
+            let (block, warp) = (slot as u32 / 4, slot as u32 % 4);
+            let mut program = WarpProgram::new(Arc::clone(&shape), block, warp, seed);
+            let mut log = sm.issue_log.iter().filter(|e| e.0 == slot);
+            let mut want = Vec::new();
+            while let Some(kind) = program.next_into(&mut want) {
+                let (_, got_kind, got, mut stalled) = log.next().expect("stream issued");
+                assert_eq!(*got_kind, kind, "slot {slot}");
+                assert_eq!(got, &want, "slot {slot}");
+                while stalled {
+                    stalls += 1;
+                    assert!(is_load(kind), "slot {slot}: only loads stall");
+                    let (_, replay_kind, replayed, again) =
+                        log.next().expect("a stalled load replays");
+                    assert!(is_load(*replay_kind), "slot {slot}: replay is a load");
+                    assert_eq!(replayed, &want, "slot {slot}: replay addresses");
+                    stalled = *again;
+                }
+            }
+            assert!(log.next().is_none(), "slot {slot}: issued past its stream");
+        }
+        assert_eq!(stalls, sm.mshr_stalls);
     }
 }

@@ -1,6 +1,6 @@
 //! Warp execution state.
 
-use crate::program::{WarpInstr, WarpProgram};
+use crate::program::WarpProgram;
 
 /// One resident warp's scheduler-visible state.
 #[derive(Debug, Clone)]
@@ -18,8 +18,10 @@ pub struct Warp {
     pub ready_at: u64,
     /// Whether the warp currently sits in the SM's ready queue.
     pub queued: bool,
-    /// An instruction that must replay (e.g. after an MSHR-full stall).
-    pub replay: Option<WarpInstr>,
+    /// Whether a load must replay (e.g. after an MSHR-full stall) before
+    /// the stream continues. Its addresses sit in the SM's replay table
+    /// under this warp's slot.
+    pub replay: bool,
 }
 
 impl Warp {
@@ -32,40 +34,34 @@ impl Warp {
             pending_loads: 0,
             ready_at: 0,
             queued: false,
-            replay: None,
+            replay: false,
         }
     }
 
     /// Whether the warp has issued its whole stream (it may still have
     /// loads in flight).
     pub fn stream_done(&self) -> bool {
-        self.program.is_finished() && self.replay.is_none()
+        self.program.is_finished() && !self.replay
     }
 
     /// Whether the warp can retire: stream done and no loads in flight.
     pub fn can_retire(&self) -> bool {
         self.stream_done() && self.pending_loads == 0
     }
-
-    /// Takes the next instruction to execute: a pending replay first,
-    /// otherwise the next generated instruction.
-    pub fn take_instr(&mut self) -> Option<WarpInstr> {
-        if let Some(i) = self.replay.take() {
-            return Some(i);
-        }
-        self.program.next_instr()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LineSize;
     use crate::kernel::KernelParams;
+    use crate::program::StreamShape;
     use std::sync::Arc;
 
     fn warp(instrs: u32) -> Warp {
-        let k = Arc::new(KernelParams::new("k", 1, 32).with_instructions(instrs));
-        Warp::new(WarpProgram::new(k, 0, 0, 1, 128), 0)
+        let k = KernelParams::new("k", 1, 32).with_instructions(instrs);
+        let shape = Arc::new(StreamShape::new(&k, LineSize::new(128)));
+        Warp::new(WarpProgram::new(shape, 0, 0, 1), 0)
     }
 
     #[test]
@@ -79,17 +75,18 @@ mod tests {
     #[test]
     fn drains_to_retirement() {
         let mut w = warp(3);
-        assert!(w.take_instr().is_some());
-        assert!(w.take_instr().is_some());
-        assert!(w.take_instr().is_some());
-        assert!(w.take_instr().is_none());
+        let mut addrs = Vec::new();
+        for _ in 0..3 {
+            assert!(w.program.next_into(&mut addrs).is_some());
+        }
+        assert!(w.program.next_into(&mut addrs).is_none());
         assert!(w.can_retire());
     }
 
     #[test]
     fn pending_loads_block_retirement() {
         let mut w = warp(1);
-        let _ = w.take_instr();
+        let _ = w.program.next_into(&mut Vec::new());
         w.pending_loads = 1;
         assert!(w.stream_done());
         assert!(!w.can_retire());
@@ -98,11 +95,11 @@ mod tests {
     }
 
     #[test]
-    fn replay_takes_priority() {
-        let mut w = warp(5);
-        let first = w.take_instr().expect("instruction");
-        w.replay = Some(first.clone());
+    fn pending_replay_blocks_retirement() {
+        let mut w = warp(1);
+        let _ = w.program.next_into(&mut Vec::new());
+        w.replay = true;
         assert!(!w.stream_done());
-        assert_eq!(w.take_instr(), Some(first));
+        assert!(!w.can_retire());
     }
 }
