@@ -6,8 +6,9 @@
 #                      # parallel executor end to end, a --check run with
 #                      # the runtime invariant checker attached, a perf
 #                      # canary against the checked-in throughput
-#                      # baseline, a budgeted differential fuzz pass vs
-#                      # the oracle (corner geometries + scenario
+#                      # baseline and its per-phase host-time block,
+#                      # a budgeted differential fuzz pass vs the
+#                      # oracle (corner geometries + scenario
 #                      # families), a checked scenario run, a
 #                      # record -> trace file -> replay round trip,
 #                      # checked runs under both adaptive LLC policies,
@@ -45,8 +46,18 @@ if [[ "${1:-}" == "--smoke" ]]; then
     ./target/release/repro --scale 0.05 --llc-policy adaptive-retention fig8 --check > /dev/null
     ./target/release/repro --scale 0.05 --llc-policy adaptive-ways fig8 --check > /dev/null
 
+    smoke_tmp="$(mktemp -d -t sttgpu-smoke-store-XXXXXX)"
+    trap 'rm -rf "$smoke_tmp"' EXIT
+
     echo "==> repro perf canary (median of 5 runs vs results/canary_baseline.json; a missing baseline fails)"
-    ./target/release/repro --canary > /dev/null
+    ./target/release/repro --canary --out "$smoke_tmp/canary" > /dev/null
+
+    echo "==> canary layers.phases block: five phase shares summing to 1"
+    awk '/"phases"/ { on = 1; next }
+         on && /}/ { on = 0 }
+         on && /"(feed|tick|fills|step|skip)"/ { gsub(/[",]/, ""); n++; sum += $2 }
+         END { exit !(n == 5 && sum > 0.99 && sum < 1.01) }' "$smoke_tmp/canary/BENCH_repro.json" \
+        || { echo "canary: layers.phases block missing or its shares do not sum to 1"; exit 1; }
 
     echo "==> repro differential fuzz vs the oracle (50000 cases, seed 7, 4 shards; corners + scenarios)"
     ./target/release/repro --fuzz 50000 --fuzz-seed 7 --jobs 4 > /dev/null
@@ -56,7 +67,6 @@ if [[ "${1:-}" == "--smoke" ]]; then
 
     echo "==> repro record/replay round trip (nw @ 0.05 -> trace file -> --check replay)"
     trace_tmp="$(mktemp -t sttgpu-smoke-XXXXXX.trc)"
-    smoke_tmp="$(mktemp -d -t sttgpu-smoke-store-XXXXXX)"
     trap 'rm -f "$trace_tmp"; rm -rf "$smoke_tmp"' EXIT
     ./target/release/repro --record nw --trace-out "$trace_tmp" --scale 0.05 > /dev/null
     ./target/release/repro --trace "$trace_tmp" --check > /dev/null

@@ -1,5 +1,6 @@
 //! Component microbenchmarks: the hot paths of the cache substrate, the
-//! two-part LLC, the warp-program generator and an SM's issue loop.
+//! two-part LLC, the memory system's event queue, the warp-program
+//! generator and an SM's issue loop.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -8,10 +9,12 @@ use sttgpu_bench::{criterion_group, criterion_main};
 use sttgpu_cache::{AccessKind, BankArbiter, MshrTable, ReplacementPolicy, SetAssocCache};
 use sttgpu_core::{LlcModel, TwoPartConfig, TwoPartLlc};
 use sttgpu_sim::config::LineSize;
+use sttgpu_sim::events::EventQueue;
 use sttgpu_sim::mem::MemSystem;
 use sttgpu_sim::program::{StreamShape, WarpProgram};
 use sttgpu_sim::sm::Sm;
 use sttgpu_sim::{GpuConfig, KernelParams};
+use sttgpu_stats::Rng;
 
 fn bench_cache(c: &mut Criterion) {
     c.bench_function("components/setassoc_lookup_hit", |b| {
@@ -41,7 +44,7 @@ fn bench_cache(c: &mut Criterion) {
         b.iter(|| {
             line += 1;
             mshr.allocate(line, 1);
-            black_box(mshr.complete(line))
+            black_box(mshr.complete(line));
         })
     });
 
@@ -93,6 +96,39 @@ fn bench_two_part(c: &mut Criterion) {
         b.iter(|| {
             t += 1_000;
             llc.maintain(black_box(t));
+        })
+    });
+}
+
+/// One pop of the earliest event and one push per iteration, at the
+/// shape measured over `gpu-suite`'s Fig. 8 runs: about 1,000 events
+/// queued, most a few hundred ns out and about a sixth more than 1 µs
+/// out (DRAM queueing). The payload has the size of the memory system's
+/// own events.
+fn bench_event_queue(c: &mut Criterion) {
+    c.bench_function("components/mem_event_queue", |b| {
+        const DEPTH: usize = 1_000;
+        let mut rng = Rng::new(17);
+        let delays: Vec<u64> = (0..4096)
+            .map(|_| {
+                if rng.chance(1.0 / 6.0) {
+                    rng.range_u64(1_000, 5_000)
+                } else {
+                    rng.range_u64(1, 1_000)
+                }
+            })
+            .collect();
+        let mut q: EventQueue<(u32, u64)> = EventQueue::new();
+        for (i, &d) in delays.iter().take(DEPTH).enumerate() {
+            q.push(d, (i as u32, d));
+        }
+        let mut i = 0usize;
+        b.iter(|| {
+            let now = q.peek_time().expect("the queue stays at its depth");
+            let (at, payload) = q.pop_due(now).expect("due");
+            i = (i + 1) % delays.len();
+            q.push(at + delays[i], payload);
+            black_box(at)
         })
     });
 }
@@ -157,6 +193,7 @@ criterion_group!(
     benches,
     bench_cache,
     bench_two_part,
+    bench_event_queue,
     bench_program,
     bench_sm
 );

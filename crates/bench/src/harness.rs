@@ -38,44 +38,6 @@ impl Criterion {
         run_bench(&name.to_string(), self.default_sample_size.max(1), f);
         self
     }
-
-    /// Opens a named group; benchmarks inside report as `group/name`.
-    pub fn benchmark_group(&mut self, name: impl std::fmt::Display) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            _parent: self,
-            prefix: name.to_string(),
-            sample_size: 10,
-        }
-    }
-}
-
-/// A group of related benchmarks sharing a name prefix and sample count.
-#[derive(Debug)]
-pub struct BenchmarkGroup<'a> {
-    _parent: &'a mut Criterion,
-    prefix: String,
-    sample_size: usize,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Sets the number of timing samples for benchmarks in this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Times `f` under `prefix/name`.
-    pub fn bench_function(
-        &mut self,
-        name: impl std::fmt::Display,
-        f: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
-        run_bench(&format!("{}/{name}", self.prefix), self.sample_size, f);
-        self
-    }
-
-    /// Ends the group (kept for criterion API parity; no-op).
-    pub fn finish(self) {}
 }
 
 /// Passed to the measured closure; call [`Bencher::iter`] with the code
@@ -184,16 +146,5 @@ mod tests {
         let mut calls = 0u64;
         Criterion::new().bench_function("smoke", |b| b.iter(|| calls += 1));
         assert!(calls > 0);
-    }
-
-    #[test]
-    fn group_applies_prefix_and_sample_size() {
-        let mut c = Criterion::new();
-        let mut group = c.benchmark_group("g");
-        group.sample_size(3);
-        let mut calls = 0u64;
-        group.bench_function("inner", |b| b.iter(|| calls += 1));
-        group.finish();
-        assert!(calls >= 3);
     }
 }

@@ -1,49 +1,12 @@
-//! Shared helpers for the bench targets, plus a small in-tree measurement
-//! harness.
-//!
-//! Every bench target corresponds to one paper artefact: it **prints** the
-//! artefact's rows (at a reduced workload scale, so `cargo bench` stays
-//! tractable) and then measures a representative slice of the computation.
-//! The full-scale artefacts come from the `repro` binary
-//! (`cargo run --release -p sttgpu-experiments --bin repro -- all`).
+//! Component microbenchmarks (`cargo bench -p sttgpu-bench --bench
+//! components`): the hot paths of the cache substrate, the two-part LLC,
+//! the memory system's event queue, the warp-program generator and an
+//! SM's issue loop, each timed in isolation.
 //!
 //! The harness in [`harness`] is a drop-in for the subset of the criterion
-//! API these targets use (`bench_function`, `benchmark_group`,
-//! `criterion_group!`/`criterion_main!`), so benches build and run with no
-//! registry access.
-
-use sttgpu_experiments::RunPlan;
+//! API the target uses (`bench_function`, `criterion_group!`/
+//! `criterion_main!`), so benches build and run with no registry access.
+//! Whole-artefact timings come from `repro`, which writes them to
+//! `BENCH_repro.json`.
 
 pub mod harness;
-
-/// The workload scale used when bench targets print their artefact rows.
-pub const BENCH_PRINT_SCALE: f64 = 0.2;
-
-/// The (smaller) scale used inside measurement loops.
-pub const BENCH_MEASURE_SCALE: f64 = 0.05;
-
-/// Plan for the one-off artefact print.
-pub fn print_plan() -> RunPlan {
-    RunPlan {
-        scale: BENCH_PRINT_SCALE,
-        max_cycles: 8_000_000,
-        check: false,
-        ..RunPlan::full()
-    }
-}
-
-/// Plan for measured closures.
-pub fn measure_plan() -> RunPlan {
-    RunPlan {
-        scale: BENCH_MEASURE_SCALE,
-        max_cycles: 4_000_000,
-        check: false,
-        ..RunPlan::full()
-    }
-}
-
-/// Prints a banner followed by an artefact body.
-pub fn banner(title: &str, body: &str) {
-    println!("\n================ {title} (bench scale {BENCH_PRINT_SCALE}) ================");
-    println!("{body}");
-}

@@ -37,7 +37,7 @@ pub mod write_policy;
 
 pub use arbiter::BankArbiter;
 pub use cache::{AccessKind, Evicted, Filled, Line, SetAssocCache, Slot};
-pub use linemap::{line_map_with_capacity, LineHasher, LineMap};
+pub use linemap::{LineHasher, LineMap};
 pub use mshr::{MshrOutcome, MshrTable};
 pub use replacement::ReplacementPolicy;
 pub use stats::CacheStats;

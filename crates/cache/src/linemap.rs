@@ -1,8 +1,8 @@
 //! A `HashMap` keyed by line addresses with a cheap multiplicative hasher.
 //!
-//! The MSHR tables and the memory system's pending-miss map are keyed by
-//! `u64` line addresses and sit on the per-access hot path, where the
-//! standard library's DoS-resistant SipHash is measurable overhead. Line
+//! The memory system's pending-miss map is keyed by `u64` line addresses
+//! and sits on the per-access hot path, where the standard library's
+//! DoS-resistant SipHash is measurable overhead. Line
 //! addresses come from a simulator-internal address stream, so hash-flood
 //! hardening buys nothing here. The replacement is a Fibonacci multiply
 //! followed by an XOR fold of the high bits into the low bits — the fold
@@ -10,8 +10,8 @@
 //! hashbrown derives both the bucket index and its control tag from
 //! opposite ends of the hash.
 //!
-//! Swapping the hasher is invisible to simulation results: neither map is
-//! ever iterated, so only keyed lookups (order-free) observe the layout.
+//! Swapping the hasher is invisible to simulation results: the map is
+//! never iterated, so only keyed lookups (order-free) observe the layout.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -42,11 +42,6 @@ impl Hasher for LineHasher {
 
 /// `HashMap<u64, V>` with the [`LineHasher`].
 pub type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
-
-/// An empty [`LineMap`] with room for `capacity` entries.
-pub fn line_map_with_capacity<V>(capacity: usize) -> LineMap<V> {
-    LineMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default())
-}
 
 #[cfg(test)]
 mod tests {

@@ -188,11 +188,11 @@ fn mshr_conserves_tokens() {
     let mut rng = Rng::new(0x70);
     for _ in 0..40 {
         let mut m = MshrTable::new(8, 4);
-        let mut expected: std::collections::HashMap<u64, Vec<u64>> = Default::default();
+        let mut expected: std::collections::HashMap<u64, Vec<u32>> = Default::default();
         let n = rng.range_usize(1, 200);
         for _ in 0..n {
             let line = rng.range_u64(0, 16);
-            let token = rng.range_u64(0, 1000);
+            let token = rng.range_u64(0, 1000) as u32;
             match m.allocate(line, token) {
                 MshrOutcome::Allocated | MshrOutcome::Merged => {
                     expected.entry(line).or_default().push(token);
@@ -231,7 +231,7 @@ fn mshr_full_leaves_entry_unmodified() {
     assert!(!m.is_pending(7));
     assert_eq!(
         m.complete(7),
-        Vec::<u64>::new(),
+        Vec::<u32>::new(),
         "tokens release exactly once"
     );
 

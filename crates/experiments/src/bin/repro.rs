@@ -157,8 +157,10 @@ fn canary_measurement() -> Option<(f64, u64, f64)> {
 /// hosts with different core counts) [`CANARY_RUNS`] times, writes the
 /// median throughput into `BENCH_repro.json`, and fails when it drops
 /// more than 30% below the checked-in baseline — or when there is no
-/// baseline to compare against. With `record_baseline` it instead writes
-/// the median as the new baseline.
+/// baseline to compare against. A sixth run with the busy loop's phase
+/// clock on ([`sttgpu_sim::phases`]) adds the host-time share of each
+/// phase as a `layers.phases` block. With `record_baseline` it instead
+/// writes the median as the new baseline.
 fn run_canary(out_dir: Option<&Path>, record_baseline: bool) -> ExitCode {
     eprintln!(
         "# repro --canary: fig8 suite at scale {CANARY_SCALE}, 1 job, median of {CANARY_RUNS}"
@@ -188,6 +190,16 @@ fn run_canary(out_dir: Option<&Path>, record_baseline: bool) -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
+    // One more run with the busy loop's phase clock on, outside the
+    // median: the clock reads would slow the throughput samples.
+    sttgpu_sim::phases::reset();
+    sttgpu_sim::phases::set_enabled(true);
+    let timed = canary_measurement();
+    sttgpu_sim::phases::set_enabled(false);
+    if timed.is_none() {
+        return ExitCode::FAILURE;
+    }
+    let phase_times = sttgpu_sim::phases::totals();
     let baseline = fs::read_to_string(CANARY_BASELINE_PATH)
         .ok()
         .and_then(|t| json_number(&t, "canary_baseline_cycles_per_second"));
@@ -201,7 +213,21 @@ fn run_canary(out_dir: Option<&Path>, record_baseline: bool) -> ExitCode {
         "    \"baseline_cycles_per_second\": {}\n",
         baseline.map_or_else(|| "null".into(), |b| format!("{b:.0}"))
     ));
-    json.push_str("  }\n}\n");
+    json.push_str("  },\n  \"layers\": {\n    \"phases\": {\n");
+    json.push_str(&format!(
+        "      \"host_s\": {:.3},\n",
+        phase_times.total_ns() as f64 / 1e9
+    ));
+    let shares = phase_times.shares();
+    for (i, phase) in sttgpu_sim::phases::Phase::ALL.iter().enumerate() {
+        let sep = if i + 1 < shares.len() { "," } else { "" };
+        json.push_str(&format!(
+            "      \"{}\": {:.4}{sep}\n",
+            phase.name(),
+            shares[i]
+        ));
+    }
+    json.push_str("    }\n  }\n}\n");
     let bench_path = out_dir
         .map(|d| d.join("BENCH_repro.json"))
         .unwrap_or_else(|| PathBuf::from("BENCH_repro.json"));
@@ -220,6 +246,16 @@ fn run_canary(out_dir: Option<&Path>, record_baseline: bool) -> ExitCode {
         cycles as f64 / 1e6,
         cps / 1e6,
         bench_path.display()
+    );
+    eprintln!(
+        "# canary phases (one extra timed run, {:.1}s host): {}",
+        phase_times.total_ns() as f64 / 1e9,
+        sttgpu_sim::phases::Phase::ALL
+            .iter()
+            .zip(shares)
+            .map(|(p, s)| format!("{} {:.1}%", p.name(), s * 100.0))
+            .collect::<Vec<_>>()
+            .join(", ")
     );
     match baseline {
         None => {

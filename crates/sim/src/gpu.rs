@@ -10,6 +10,7 @@ use crate::kernel::{GridDispatcher, KernelParams, Workload};
 use crate::mem::MemSystem;
 use crate::metrics::{KernelSpan, RunMetrics};
 use crate::occupancy::Occupancy;
+use crate::phases::{self, Phase, PhaseClock};
 use crate::program::StreamShape;
 use crate::sm::Sm;
 
@@ -140,6 +141,21 @@ impl Gpu {
         seed: u64,
         max_cycles: u64,
     ) -> RunMetrics {
+        if phases::enabled() {
+            self.run_phased::<true>(kernels, seed, max_cycles)
+        } else {
+            self.run_phased::<false>(kernels, seed, max_cycles)
+        }
+    }
+
+    /// [`run_seeded`](Self::run_seeded)'s body; `TIMED` selects whether
+    /// the busy loop's phases are charged to [`phases`].
+    fn run_phased<const TIMED: bool>(
+        &mut self,
+        kernels: &[Arc<KernelParams>],
+        seed: u64,
+        max_cycles: u64,
+    ) -> RunMetrics {
         let deadline = self.cycle + max_cycles;
         let mut finished = true;
         let mut kernels_skipped = 0;
@@ -147,6 +163,7 @@ impl Gpu {
         // Reused across every cycle of the run so the hot loop does not
         // allocate a fresh delivery vector per tick.
         let mut fills: Vec<crate::mem::FillDelivery> = Vec::new();
+        let mut clock = PhaseClock::<TIMED>::start();
 
         'kernels: for (k_idx, kernel) in kernels.iter().enumerate() {
             let kernel_start_cycle = self.cycle;
@@ -164,6 +181,7 @@ impl Gpu {
             let mut dispatcher = GridDispatcher::new(Arc::clone(kernel));
             dispatcher.set_trace(self.trace.clone());
             let warps_per_block = kernel.warps_per_block() as usize;
+            clock.restart();
 
             loop {
                 if self.cycle >= deadline {
@@ -201,9 +219,11 @@ impl Gpu {
                         }
                     }
                 }
+                clock.lap(Phase::Feed);
 
                 let now_ns = self.cfg.ns_of_cycle(self.cycle);
                 self.mem.tick(now_ns, &mut fills);
+                clock.lap(Phase::Tick);
                 // Fills first, in tick order (each writes its dirty L1
                 // victim back inline), then every SM steps in SM-id order,
                 // sending its reads and writes to the memory system as it
@@ -217,55 +237,60 @@ impl Gpu {
                         &mut self.mem,
                     );
                 }
+                clock.lap(Phase::Fills);
+                // The step pass also collects, per SM after its own
+                // step, whether every SM is idle and whether any has
+                // launch room: no SM's step touches another SM, so these
+                // equal a rescan after the pass.
                 let mut sm_wake = u64::MAX;
+                let mut all_idle = true;
+                let mut launch_room = false;
                 for sm in &mut self.sms {
                     let out = sm.step(self.cycle, now_ns, &mut self.mem);
                     retired += out.blocks_retired;
                     sm_wake = sm_wake.min(out.next_wake);
+                    all_idle &= sm.is_idle();
+                    launch_room |= sm.live_blocks() < occ.blocks_per_sm
+                        && sm.free_warp_slots() >= warps_per_block;
                 }
                 for _ in 0..retired {
                     dispatcher.retire_block();
                 }
+                clock.lap(Phase::Step);
                 self.cycle += 1;
 
-                if dispatcher.is_done() && self.sms.iter().all(Sm::is_idle) && self.mem.is_idle() {
+                if dispatcher.is_done() && all_idle && self.mem.is_idle() {
+                    clock.lap(Phase::Skip);
                     break;
-                }
-                if self.single_step {
-                    continue;
                 }
 
                 // ---- cycle skipping ----
                 // A retirement this cycle may have freed launch capacity;
                 // the next cycle's feed pass must then run (launch order
                 // and warp `ready_at` stamps depend on it).
-                if dispatcher.remaining() > 0
-                    && self.sms.iter().any(|sm| {
-                        sm.live_blocks() < occ.blocks_per_sm
-                            && sm.free_warp_slots() >= warps_per_block
-                    })
-                {
-                    continue;
-                }
-                // Otherwise nothing can happen before the earliest of:
-                // a queued warp's ready cycle (`sm_wake`, collected during
-                // the issue pass above), or the memory system's next
-                // event/maintenance deadline. With no wake source at all
-                // (deadlock until the budget runs out), jump straight to
-                // the deadline — the per-cycle driver would have spun
-                // idly to the same end state.
-                let mut wake = sm_wake;
-                if let Some(t) = self.mem.next_wake_ns() {
-                    wake = wake.min(self.cfg.cycle_of_ns_ceil(t));
-                }
-                let target = wake.clamp(self.cycle, deadline);
-                if target > self.cycle {
-                    let skipped = target - self.cycle;
-                    for sm in &mut self.sms {
-                        sm.count_idle(skipped);
+                let must_feed = launch_room && dispatcher.remaining() > 0;
+                if !self.single_step && !must_feed {
+                    // Otherwise nothing can happen before the earliest of:
+                    // a queued warp's ready cycle (`sm_wake`, collected
+                    // during the issue pass above), or the memory system's
+                    // next event/maintenance deadline. With no wake source
+                    // at all (deadlock until the budget runs out), jump
+                    // straight to the deadline — the per-cycle driver
+                    // would have spun idly to the same end state.
+                    let mut wake = sm_wake;
+                    if let Some(t) = self.mem.next_wake_ns() {
+                        wake = wake.min(self.cfg.cycle_of_ns_ceil(t));
                     }
-                    self.cycle = target;
+                    let target = wake.clamp(self.cycle, deadline);
+                    if target > self.cycle {
+                        let skipped = target - self.cycle;
+                        for sm in &mut self.sms {
+                            sm.count_idle(skipped);
+                        }
+                        self.cycle = target;
+                    }
                 }
+                clock.lap(Phase::Skip);
             }
 
             // Kernel barrier: L1s are invalidated between grids.
@@ -279,6 +304,7 @@ impl Gpu {
                 instructions: end_instr - kernel_start_instr,
             });
         }
+        clock.finish();
 
         let mut metrics = self.collect_metrics(finished, kernels_skipped);
         metrics.kernel_spans = kernel_spans;
@@ -435,6 +461,22 @@ mod tests {
         assert!(a.finished && b.finished);
         assert_eq!(a.instructions, b.instructions, "same trace, same work");
         assert!(b.ipc() > 0.0);
+    }
+
+    /// The switch is process-wide, so tests running meanwhile are timed
+    /// too; that changes none of their results either.
+    #[test]
+    fn phase_timing_changes_no_result() {
+        let w = Workload::new("w", vec![toy_kernel()], 7);
+        let plain = Gpu::new(small_cfg()).run_workload(&w, 4_000_000);
+        phases::set_enabled(true);
+        let timed = Gpu::new(small_cfg()).run_workload(&w, 4_000_000);
+        phases::set_enabled(false);
+        assert_eq!(plain, timed);
+        let t = phases::totals();
+        assert!(t.total_ns() > 0, "the timed run was charged");
+        let sum: f64 = t.shares().iter().sum();
+        assert!((sum - 1.0).abs() < 1e-9, "shares sum to {sum}");
     }
 
     #[test]

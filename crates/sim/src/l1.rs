@@ -81,7 +81,7 @@ impl L1Cache {
     }
 
     /// Issues a read for `byte_addr` on behalf of `warp_token`.
-    pub fn read(&mut self, byte_addr: u64, warp_token: u64, now_ns: u64) -> L1ReadOutcome {
+    pub fn read(&mut self, byte_addr: u64, warp_token: u32, now_ns: u64) -> L1ReadOutcome {
         let la = self.line_addr(byte_addr);
         if self.cache.lookup(la, AccessKind::Read, now_ns).is_some() {
             return L1ReadOutcome::Hit;
@@ -128,9 +128,9 @@ impl L1Cache {
     }
 
     /// Completes an in-flight fill: installs the line (clean) and returns
-    /// the warp tokens waiting on it plus the byte address of a dirty
-    /// (local) victim needing write-back, if any.
-    pub fn fill(&mut self, byte_addr: u64, now_ns: u64) -> (Vec<u64>, Option<u64>) {
+    /// the warp tokens waiting on it, in arrival order, plus the byte
+    /// address of a dirty (local) victim needing write-back, if any.
+    pub fn fill(&mut self, byte_addr: u64, now_ns: u64) -> (&[u32], Option<u64>) {
         let la = self.line_addr(byte_addr);
         let evicted = self.cache.fill(la, false, now_ns);
         let victim = self.victim_of(evicted);

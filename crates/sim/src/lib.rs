@@ -53,6 +53,8 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod events;
+mod fifo;
 pub mod gpu;
 pub mod icnt;
 pub mod kernel;
@@ -60,6 +62,7 @@ pub mod l1;
 pub mod mem;
 pub mod metrics;
 pub mod occupancy;
+pub mod phases;
 pub mod program;
 mod ready;
 pub mod sm;

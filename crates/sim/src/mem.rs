@@ -6,15 +6,14 @@
 //! delivers L1 fill responses back to the SMs as timed events. It also
 //! drives the L2's maintenance (refresh/expiry) clock.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use sttgpu_cache::{AccessKind, BankArbiter, LineMap};
 use sttgpu_core::{AnyLlc, LlcModel};
 use sttgpu_trace::{Trace, TraceEvent};
 use sttgpu_tracefile::TraceRecord;
 
 use crate::config::{GpuConfig, LineSize};
+use crate::events::EventQueue;
+use crate::fifo::{FifoPool, EMPTY};
 use crate::icnt::Icnt;
 
 /// A timed memory-system event.
@@ -26,11 +25,13 @@ enum EventKind {
     L1Fill { sm: u32, byte_addr: u64 },
 }
 
-/// An L2 miss in flight to DRAM, with the L1 requests waiting on it.
-#[derive(Debug, Clone, Default)]
+/// An L2 miss in flight to DRAM. The L1 requests waiting on it, as
+/// `(sm, byte_addr)`, form a list in the memory system's waiter pool, so
+/// a miss allocates nothing once the pool is warm.
+#[derive(Debug, Clone, Copy)]
 struct L2Pending {
     dirty: bool,
-    waiters: Vec<(u32, u64)>,
+    waiters: u32,
 }
 
 /// A fill response ready for delivery to an SM.
@@ -48,9 +49,9 @@ pub struct MemSystem {
     llc: AnyLlc,
     trace: Trace,
     dram: BankArbiter,
-    events: BinaryHeap<Reverse<(u64, u64, EventKind)>>,
-    seq: u64,
+    events: EventQueue<EventKind>,
     l2_pending: LineMap<L2Pending>,
+    waiters: FifoPool<(u32, u64)>,
     icnt: Icnt,
     dram_row_miss_ns: u64,
     dram_row_hit_ns: u64,
@@ -90,9 +91,9 @@ impl MemSystem {
             llc,
             trace: Trace::off(),
             dram: BankArbiter::new(cfg.dram.controllers as usize),
-            events: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::new(),
             l2_pending: LineMap::default(),
+            waiters: FifoPool::new(),
             icnt: Icnt::new(cfg.num_sms.max(1), cfg.icnt_latency_ns, cfg.icnt_flit_ns),
             dram_row_miss_ns: cfg.dram.latency_ns,
             dram_row_hit_ns: cfg.dram.row_hit_latency_ns,
@@ -141,8 +142,7 @@ impl MemSystem {
     }
 
     fn push_event(&mut self, at_ns: u64, kind: EventKind) {
-        self.seq += 1;
-        self.events.push(Reverse((at_ns, self.seq, kind)));
+        self.events.push(at_ns, kind);
     }
 
     fn l2_line_of(&self, byte_addr: u64) -> u64 {
@@ -191,7 +191,8 @@ impl MemSystem {
         // Merge with an in-flight miss before touching the cache: the data
         // is already on its way.
         if let Some(pending) = self.l2_pending.get_mut(&l2_line) {
-            pending.waiters.push((sm, byte_addr));
+            self.waiters
+                .push_back(&mut pending.waiters, (sm, byte_addr));
             self.trace.emit(|| TraceEvent::MshrMerge {
                 space: 0,
                 la: l2_line,
@@ -214,11 +215,13 @@ impl MemSystem {
             let deliver_at = self.icnt.response_arrival(sm, out.ready_ns);
             self.push_event(deliver_at, EventKind::L1Fill { sm, byte_addr });
         } else {
+            let mut waiters = EMPTY;
+            self.waiters.push_back(&mut waiters, (sm, byte_addr));
             self.l2_pending.insert(
                 l2_line,
                 L2Pending {
                     dirty: false,
-                    waiters: vec![(sm, byte_addr)],
+                    waiters,
                 },
             );
             self.trace.emit(|| TraceEvent::MshrAlloc {
@@ -259,7 +262,7 @@ impl MemSystem {
                 l2_line,
                 L2Pending {
                     dirty: true,
-                    waiters: Vec::new(),
+                    waiters: EMPTY,
                 },
             );
             self.trace.emit(|| TraceEvent::MshrAlloc {
@@ -294,15 +297,11 @@ impl MemSystem {
             }
         }
 
-        while let Some(&Reverse((t, _, kind))) = self.events.peek() {
-            if t > now_ns {
-                break;
-            }
-            self.events.pop();
+        while let Some((t, kind)) = self.events.pop_due(now_ns) {
             match kind {
                 EventKind::DramData { l2_line } => {
                     let byte_addr = self.l2_line.bytes_of(l2_line);
-                    let pending = match self.l2_pending.remove(&l2_line) {
+                    let mut pending = match self.l2_pending.remove(&l2_line) {
                         Some(p) => {
                             self.trace.emit(|| TraceEvent::MshrComplete {
                                 space: 0,
@@ -310,7 +309,10 @@ impl MemSystem {
                             });
                             p
                         }
-                        None => L2Pending::default(),
+                        None => L2Pending {
+                            dirty: false,
+                            waiters: EMPTY,
+                        },
                     };
                     if let Some(log) = &mut self.call_log {
                         log.push(TraceRecord::Fill {
@@ -322,7 +324,7 @@ impl MemSystem {
                     let out = self.llc.fill(byte_addr, pending.dirty, t);
                     self.charge_writebacks(out.writebacks, t);
                     // Fill-and-forward: waiters get data over the icnt.
-                    for (sm, l1_addr) in pending.waiters {
+                    while let Some((sm, l1_addr)) = self.waiters.pop_front(&mut pending.waiters) {
                         let deliver_at = self.icnt.response_arrival(sm, t);
                         self.push_event(
                             deliver_at,
@@ -348,7 +350,7 @@ impl MemSystem {
     /// Time of the next scheduled event, if any (lets the driver skip
     /// idle cycles).
     pub fn next_event_ns(&self) -> Option<u64> {
-        self.events.peek().map(|Reverse((t, _, _))| *t)
+        self.events.peek_time()
     }
 
     /// Earliest time at which [`tick`](Self::tick) has any work to do —

@@ -14,7 +14,7 @@ use crate::config::{GpuConfig, WarpScheduler};
 use crate::l1::{L1Cache, L1ReadOutcome};
 use crate::mem::MemSystem;
 use crate::program::{InstrKind, StreamShape, WarpProgram};
-use crate::ready::{ReadyEntry, ReadyRing};
+use crate::ready::ReadyList;
 use crate::warp::Warp;
 
 /// Replay delay after an MSHR-full stall, cycles.
@@ -34,7 +34,7 @@ pub struct StepOutcome {
 pub struct Sm {
     id: u32,
     warps: Vec<Option<Warp>>,
-    ready: ReadyRing,
+    ready: ReadyList,
     /// Lower bound on the earliest `ready_at` over all queued warps
     /// (`u64::MAX` when none is queued). Enqueues lower it in O(1); an
     /// issue pass that runs out of ready warps sets it exactly from the
@@ -45,6 +45,8 @@ pub struct Sm {
     blocks: Vec<u32>,
     /// Decode buffer: the line addresses of the instruction being issued.
     addrs: Vec<u64>,
+    /// The warp tokens a fill wakes, copied out of the L1's MSHR entry.
+    woken: Vec<u32>,
     /// Per-warp-slot addresses of a load waiting to replay (valid while
     /// the slot's warp has `replay` set). A stall swaps the decode buffer
     /// in, a replay swaps it back out: no addresses are copied.
@@ -64,7 +66,7 @@ pub struct Sm {
     greedy: Option<usize>,
     /// Whether the greedy warp is currently queued. A queued greedy warp
     /// is *parked* outside `ready` (see [`enqueue`](Sm::enqueue)), which
-    /// makes the GTO fast path O(1) instead of a deque scan.
+    /// makes the GTO fast path O(1) instead of a queue walk.
     greedy_parked: bool,
     /// Monotone launch counter assigning warp ages.
     age_counter: u64,
@@ -86,10 +88,11 @@ impl Sm {
         Sm {
             id,
             warps: (0..cfg.max_warps_per_sm).map(|_| None).collect(),
-            ready: ReadyRing::with_capacity(cfg.max_warps_per_sm as usize),
+            ready: ReadyList::with_slots(cfg.max_warps_per_sm as usize),
             next_ready: u64::MAX,
             blocks: Vec::new(),
             addrs: Vec::new(),
+            woken: Vec::new(),
             replay_addrs: vec![Vec::new(); cfg.max_warps_per_sm as usize],
             warps_live: 0,
             blocks_live: 0,
@@ -233,10 +236,7 @@ impl Sm {
         if self.greedy == Some(slot) {
             self.greedy_parked = true;
         } else {
-            self.ready.push_back(ReadyEntry {
-                slot: slot as u32,
-                ready_at,
-            });
+            self.ready.push_back(slot, ready_at);
         }
     }
 
@@ -280,11 +280,14 @@ impl Sm {
     /// as a result.
     pub fn deliver_fill(&mut self, byte_addr: u64, now_ns: u64, mem: &mut MemSystem) -> u32 {
         let (tokens, dirty_victim) = self.l1.fill(byte_addr, now_ns);
+        let mut woken = std::mem::take(&mut self.woken);
+        woken.clear();
+        woken.extend_from_slice(tokens);
         if let Some(victim_addr) = dirty_victim {
             mem.write_request(self.id, victim_addr, now_ns);
         }
         let mut blocks_retired = 0;
-        for token in tokens {
+        for &token in &woken {
             let slot = token as usize;
             let Some(warp) = self.warps[slot].as_mut() else {
                 continue;
@@ -303,6 +306,7 @@ impl Sm {
                 self.enqueue(slot, ready_at);
             }
         }
+        self.woken = woken;
         blocks_retired
     }
 
@@ -312,7 +316,7 @@ impl Sm {
     fn issue_reads(&mut self, slot: usize, now_ns: u64, mem: &mut MemSystem) -> (u32, bool) {
         let mut misses = 0;
         for &addr in &self.addrs {
-            match self.l1.read(addr, slot as u64, now_ns) {
+            match self.l1.read(addr, slot as u32, now_ns) {
                 L1ReadOutcome::Hit => {}
                 L1ReadOutcome::MissIssued => {
                     mem.read_request(self.id, addr, now_ns);
@@ -338,9 +342,7 @@ impl Sm {
         match self.scheduler {
             // The first issuable warp in rotation order wins and the
             // not-ready prefix rotates to the back.
-            WarpScheduler::LooseRoundRobin => {
-                self.ready.pop_first_ready(cycle).map(|e| e.slot as usize)
-            }
+            WarpScheduler::LooseRoundRobin => self.ready.pop_first_ready(cycle),
             WarpScheduler::GreedyThenOldest => {
                 // Stick with the greedy warp while it can issue. It parks
                 // outside `ready` (see `enqueue`), so this is O(1) rather
@@ -357,13 +359,8 @@ impl Sm {
                 }
                 // ...otherwise the oldest ready warp becomes greedy.
                 let warps = &self.warps;
-                let age_of = |slot: u32| {
-                    warps[slot as usize]
-                        .as_ref()
-                        .expect("queued warp is live")
-                        .age
-                };
-                let entry = self
+                let age_of = |slot: usize| warps[slot].as_ref().expect("queued warp is live").age;
+                let slot = self
                     .ready
                     .pop_oldest_ready(cycle, age_of)
                     .map_err(|min| min.min(parked_at))?;
@@ -371,14 +368,11 @@ impl Sm {
                     // The stalled ex-greedy warp rejoins the rotation.
                     let g = self.greedy.expect("parked implies a greedy slot");
                     let w = self.warps[g].as_ref().expect("parked warp is live");
-                    self.ready.push_back(ReadyEntry {
-                        slot: g as u32,
-                        ready_at: w.ready_at,
-                    });
+                    self.ready.push_back(g, w.ready_at);
                     self.greedy_parked = false;
                 }
-                self.greedy = Some(entry.slot as usize);
-                Ok(entry.slot as usize)
+                self.greedy = Some(slot);
+                Ok(slot)
             }
         }
     }
